@@ -34,28 +34,18 @@ from dataclasses import asdict
 from math import comb
 
 from .graphs import read_graph_file, to_graph6, write_graph_file
-from .trees import (
-    TreeFamily,
-    parse_family_spec,
-    path,
-    realize,
-    spec_string,
-    star,
-    t3,
-    tpp,
-    tppp,
-)
+from .trees import parse_family_spec, realize, spec_string
 from .formulas import (
+    CASES,
+    MIN_N,
     decompose,
-    ex_path,
-    ex_star,
     ex_t3,
-    ex_t3_partial,
     ex_tpp,
     ex_tppp,
     extremal_value,
     generic_max_form,
     lower_bound,
+    residue_case,
     upper_bound,
 )
 from .constructions import extremal_graph
@@ -63,17 +53,6 @@ from .containment import contains_tree, verify_witness
 from .oracle import ex_bruteforce, verify_formula
 
 __all__ = ["main", "build_parser", "eval_nexpr"]
-
-_FAMILY_MAKERS = {"t3": t3, "tpp": tpp, "tppp": tppp, "path": path, "star": star}
-
-
-def _family_from_tag(tag: str, arg: int) -> TreeFamily:
-    if tag not in _FAMILY_MAKERS:
-        raise ValueError(
-            f"unknown family {tag!r} (expected t3, tpp, tppp, path, star)"
-        )
-    return _FAMILY_MAKERS[tag](arg)
-
 
 def eval_nexpr(expr: str, n: int) -> int:
     """Evaluate a bound expression: ``20``, ``n``, ``2n-9``, ``4n``, ``n+8``."""
@@ -105,18 +84,9 @@ def _log(quiet: bool, msg: str) -> None:
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_formula(args) -> tuple[dict, int]:
-    f = _family_from_tag(args.family, args.n)
+    f = parse_family_spec(f"{args.family}:{args.n}")
     p = args.p
-    if args.family == "t3":
-        ev = ex_t3_partial(p, args.n) if args.partial else ex_t3(p, args.n)
-    elif args.family == "tpp":
-        ev = ex_tpp(p, args.n)
-    elif args.family == "tppp":
-        ev = ex_tppp(p, args.n)
-    elif args.family == "path":
-        ev = ex_path(p, args.n)
-    else:
-        ev = ex_star(p, args.n)
+    ev = extremal_value(f, p, partial=args.partial)
     report = {
         "command": "formula",
         "ok": True,
@@ -131,7 +101,7 @@ def _cmd_formula(args) -> tuple[dict, int]:
 
 
 def _cmd_construct(args) -> tuple[dict, int]:
-    f = _family_from_tag(args.family, args.n)
+    f = parse_family_spec(f"{args.family}:{args.n}")
     g, recipe = extremal_graph(f, args.p, connected=args.connected)
     write_graph_file(g, args.out, fmt=args.format)
     _log(args.quiet, f"wrote {g.n} vertices / {recipe.edges} edges to {args.out}")
@@ -224,7 +194,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
     families = [s.strip() for s in args.families.split(",") if s.strip()]
     for tag in families:
-        if tag not in ("t3", "tpp", "tppp"):
+        if tag not in CASES:
             raise ValueError(f"verify families must be among t3,tpp,tppp (got {tag!r})")
 
     counts = {
@@ -259,10 +229,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
                 record("identity", a == b == c, n=n, p=p)
 
             for tag in families:
-                f = _FAMILY_MAKERS[tag](n) if n >= 6 else None
-                min_n = 15 if tag == "t3" else 10
-                if f is None or n < min_n or p < n:
+                if n < MIN_N[tag] or p < n:
                     continue
+                f = parse_family_spec(f"{tag}:{n}")
                 value = extremal_value(f, p).value
 
                 lb, ub = lower_bound(p, n), upper_bound(p, n)
@@ -295,35 +264,21 @@ def _cmd_verify(args) -> tuple[dict, int]:
                             n=n, p=p, r=d.r,
                         )
 
-                try:
-                    g, recipe = extremal_graph(f, p)
-                    construction_ok = (
-                        recipe.edges == value and contains_tree(g, f) is None
-                    )
-                except (ValueError, AssertionError):
-                    construction_ok = False
-                record(
-                    "constructions", construction_ok,
-                    family=tag, n=n, p=p,
-                )
-                if tag == "t3":
-                    d = decompose(p, n)
-                    has_connected = (d.r == n - 8 and n >= 26) or (
-                        d.r == n - 7 and n >= 37
-                    )
-                    if has_connected:
-                        try:
-                            g2, recipe2 = extremal_graph(f, p, connected=True)
-                            ok2 = (
-                                recipe2.edges == value
-                                and contains_tree(g2, f) is None
-                            )
-                        except (ValueError, AssertionError):
-                            ok2 = False
-                        record(
-                            "constructions", ok2,
-                            family=tag, n=n, p=p, connected=True,
+                variants = [{}]
+                if residue_case(tag, n, p % (n - 1)).has_connected(n):
+                    variants.append({"connected": True})
+                for variant in variants:
+                    try:
+                        g, recipe = extremal_graph(f, p, **variant)
+                        construction_ok = (
+                            recipe.edges == value and contains_tree(g, f) is None
                         )
+                    except (ValueError, AssertionError):
+                        construction_ok = False
+                    record(
+                        "constructions", construction_ok,
+                        family=tag, n=n, p=p, **variant,
+                    )
 
     results: dict = dict(counts)
     if failures:
@@ -378,22 +333,16 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_table(args) -> tuple[dict, int]:
-    f = _family_from_tag(args.family, args.n)
+    f = parse_family_spec(f"{args.family}:{args.n}")
     if args.pmin > args.pmax:
         raise ValueError(f"empty p range [{args.pmin}, {args.pmax}]")
-    evaluators = {
-        "t3": lambda p: ex_t3(p, args.n),
-        "tpp": lambda p: ex_tpp(p, args.n),
-        "tppp": lambda p: ex_tppp(p, args.n),
-        "path": lambda p: ex_path(p, args.n),
-        "star": lambda p: ex_star(p, args.n),
-    }
-    ev_fn = evaluators[args.family]
     rows = []
     for p in range(args.pmin, args.pmax + 1):
-        ev = ev_fn(p)
+        ev = extremal_value(f, p)
         if args.family == "star":
             k, r = 0, 0
+        elif ev.branch == "small-host":
+            k, r = 0, p
         else:
             d = decompose(p, args.n)
             k, r = d.k, d.r

@@ -27,7 +27,7 @@ from math import comb
 
 from .graphs import SimpleGraph
 from .trees import TreeFamily
-from .formulas import decompose, extremal_value
+from .formulas import MIN_N, decompose, extremal_value, residue_case
 
 __all__ = [
     "ConstructionRecipe",
@@ -63,10 +63,7 @@ def clique_union(k: int, n: int, r: int) -> SimpleGraph:
         raise ValueError(f"clique_union requires n >= 3 (got n={n})")
     if not 0 <= r <= n - 2:
         raise ValueError(f"clique_union requires 0 <= r <= n-2 (got r={r}, n={n})")
-    g = SimpleGraph.empty(0)
-    for _ in range(k):
-        g = g.disjoint_union(SimpleGraph.complete(n - 1))
-    g = g.disjoint_union(SimpleGraph.complete(r))
+    g = _prepend_blocks(SimpleGraph.complete(r), k, n)
     assert g.edge_count() == k * comb(n - 1, 2) + comb(r, 2)
     return g
 
@@ -109,6 +106,29 @@ def _check_degrees(g: SimpleGraph, expected: list[int]) -> None:
     assert got == want, f"degree multiset mismatch: got {got}, want {want}"
 
 
+def _lemma46_layout(n: int, edges: list[tuple[int, int]], pairs: int) -> SimpleGraph:
+    """The Lemma 4.6 layout both parities share (see :func:`lemma46_even`):
+    ``edges`` (the core and any extra joins) plus the hub, the two top spine
+    vertices, the companion clique, and the first ``pairs`` spine pairs
+    joined to their companion pairs."""
+    u0 = n - 4  # u_j sits at index u0 + j
+    edges = list(edges)
+    edges += [(0, i) for i in range(1, n - 3)]  # v_0 to all spine
+    edges += [(n - 5, i) for i in range(1, n - 5)]  # v_{n-5} to v_1..v_{n-6}
+    edges += [(n - 5, n - 4)]
+    edges += [(n - 4, i) for i in range(1, n - 5)]  # v_{n-4} to v_1..v_{n-6}
+    edges += [
+        (u0 + a, u0 + b)
+        for a in range(1, n - 6)
+        for b in range(a + 1, n - 5)
+    ]
+    for i in range(1, pairs + 1):
+        for vv in (2 * i - 1, 2 * i):
+            for uu in (2 * i - 1, 2 * i):
+                edges.append((vv, u0 + uu))
+    return SimpleGraph.from_edges(2 * n - 9, edges)
+
+
 def lemma46_even(n: int) -> SimpleGraph:
     """Connected base on ``2n - 9`` vertices for even ``n >= 26``.
 
@@ -126,27 +146,8 @@ def lemma46_even(n: int) -> SimpleGraph:
     """
     if n < 26 or n % 2:
         raise ValueError(f"lemma46_even requires even n >= 26 (got n={n})")
-    p = 2 * n - 9
-    u0 = n - 4  # u_j sits at index u0 + j
-
-    edges: list[tuple[int, int]] = []
-    edges += [(0, i) for i in range(1, n - 3)]  # v_0 to all spine
-    edges += [(n - 5, i) for i in range(1, n - 5)]  # v_{n-5} to v_1..v_{n-6}
-    edges += [(n - 5, n - 4)]
-    edges += [(n - 4, i) for i in range(1, n - 5)]  # v_{n-4} to v_1..v_{n-6}
     core = near_regular(n - 6, n - 10)
-    edges += [(1 + a, 1 + b) for a, b in core.edges()]
-    edges += [
-        (u0 + a, u0 + b)
-        for a in range(1, n - 6)
-        for b in range(a + 1, n - 5)
-    ]
-    for i in range(1, (n - 6) // 2 + 1):
-        for vv in (2 * i - 1, 2 * i):
-            for uu in (2 * i - 1, 2 * i):
-                edges.append((vv, u0 + uu))
-
-    g = SimpleGraph.from_edges(p, edges)
+    g = _lemma46_layout(n, [(1 + a, 1 + b) for a, b in core.edges()], (n - 6) // 2)
     assert g.edge_count() == (2 * n * n - 19 * n + 48) // 2
     _check_degrees(g, [n - 4] * 3 + [n - 5] * (2 * n - 12))
     return g
@@ -166,8 +167,6 @@ def lemma46_odd(n: int) -> SimpleGraph:
     """
     if n < 27 or n % 2 == 0:
         raise ValueError(f"lemma46_odd requires odd n >= 27 (got n={n})")
-    p = 2 * n - 9
-    u0 = n - 4
     m = n - 6  # core size
 
     # Sparse graph H on v_1..v_m, in v-index space.
@@ -175,29 +174,14 @@ def lemma46_odd(n: int) -> SimpleGraph:
     h_edges |= {(i, i + (n - 7) // 2) for i in range(1, (n - 7) // 2 + 1)}
     h_norm = {(min(a, b), max(a, b)) for a, b in h_edges}
 
-    edges: list[tuple[int, int]] = []
-    edges += [(0, i) for i in range(1, n - 3)]
-    edges += [(n - 5, i) for i in range(1, n - 5)]
-    edges += [(n - 5, n - 4)]
-    edges += [(n - 4, i) for i in range(1, n - 5)]
-    edges += [
+    edges = [
         (a, b)
         for a in range(1, m + 1)
         for b in range(a + 1, m + 1)
         if (a, b) not in h_norm
     ]
-    edges += [
-        (u0 + a, u0 + b)
-        for a in range(1, n - 6)
-        for b in range(a + 1, n - 5)
-    ]
-    for i in range(1, (n - 7) // 2 + 1):
-        for vv in (2 * i - 1, 2 * i):
-            for uu in (2 * i - 1, 2 * i):
-                edges.append((vv, u0 + uu))
-    edges.append((n - 6, u0 + n - 6))  # the leftover single pairing
-
-    g = SimpleGraph.from_edges(p, edges)
+    edges.append((n - 6, 2 * n - 10))  # the leftover single pairing v_{n-6} u_{n-6}
+    g = _lemma46_layout(n, edges, (n - 7) // 2)
     assert g.edge_count() == (2 * n * n - 19 * n + 47) // 2
     _check_degrees(g, [n - 4] * 3 + [n - 5] * (2 * n - 13) + [n - 6])
     return g
@@ -301,19 +285,16 @@ def _prepend_blocks(base: SimpleGraph, blocks: int, n: int) -> SimpleGraph:
     return g.disjoint_union(base)
 
 
-def _lemma46(n: int) -> tuple[SimpleGraph, str]:
-    if n % 2 == 0:
-        return lemma46_even(n), "L4.6-even"
-    return lemma46_odd(n), "L4.6-odd"
-
-
-def _two_arm_base(n: int, r: int) -> tuple[SimpleGraph, str]:
-    """Clique remainder vs. near-regular remainder; ties go to the clique."""
-    clique_val = comb(n - 1, 2) + comb(r, 2)
-    regular_val = (n - 5) * (n - 1 + r) // 2
-    if regular_val > clique_val:
-        return near_regular(n - 1 + r, n - 5), "near-regular"
-    return clique_union(1, n, r), "clique-union"
+# Remainder bases on ``n - 1 + r`` vertices, keyed by ``ResidueCase.base``,
+# each with the label recorded in its recipe.
+_BASES = {
+    "clique-union": lambda n, r: (clique_union(1, n, r), "clique-union"),
+    "near-regular": lambda n, r: (near_regular(n - 1 + r, n - 5), "near-regular"),
+    "L4.6": lambda n, r: (
+        (lemma46_even(n), "L4.6-even") if n % 2 == 0 else (lemma46_odd(n), "L4.6-odd")
+    ),
+    "L4.7": lambda n, r: (lemma47_construct(n), f"L4.7-case{[4, 1, 2, 3][n % 4]}"),
+}
 
 
 def extremal_graph(
@@ -322,9 +303,12 @@ def extremal_graph(
     """An extremal host of order ``p`` avoiding the family tree, plus the
     recipe used.  The edge count is asserted to equal the closed-form value.
 
-    ``connected=True`` switches to a connected base whenever one attaining
-    the value exists (the ``t3`` residues ``n-8`` with ``n >= 26`` and
-    ``n-7`` with ``n >= 37``); otherwise it is a no-op.
+    For the spider families the base comes from the residue case (see
+    ``formulas.CASES``): the case's own base where it beats the clique union,
+    the clique union otherwise.  ``connected=True`` switches to a connected
+    base whenever one attaining the value exists (the ``t3`` residues
+    ``n-8`` with ``n >= 26`` and ``n-7`` with ``n >= 37``); otherwise it is a
+    no-op.
     """
     kind = f.kind
     n = f.n
@@ -342,42 +326,20 @@ def extremal_graph(
     if kind == "path":
         if n < 3 or p < n - 1:
             raise ValueError(f"construction requires n >= 3, p >= n-1 (got p={p}, n={n})")
-        d = decompose(p, n)
-        g = clique_union(d.k, n, d.r)
-        recipe = ConstructionRecipe(
-            kind, n, p, "clique-union", d.k - 1, n - 1 + d.r, g.edge_count()
-        )
-        assert recipe.edges == extremal_value(f, p).value
-        return g, recipe
-
-    # The three spider families.
-    min_n = 15 if kind == "t3" else 10
-    if n < min_n:
-        raise ValueError(f"construction for {kind} requires n >= {min_n} (got n={n})")
-    if p < n:
+    elif n < MIN_N[kind]:
+        raise ValueError(f"construction for {kind} requires n >= {MIN_N[kind]} (got n={n})")
+    elif p < n:
         raise ValueError(f"construction for {kind} requires p >= n (got p={p}, n={n})")
+
     d = decompose(p, n)
-    r = d.r
-
-    base: SimpleGraph
-    label: str
-    if kind in ("tpp", "tppp"):
-        base, label = _two_arm_base(n, r)
-    else:  # t3
-        if r == n - 8 and ((n >= 28) or (connected and n >= 26)):
-            base, label = _lemma46(n)
-        elif r == n - 7 and ((n >= 41) or (connected and n >= 37)):
-            base, label = lemma47_construct(n), f"L4.7-case{[4, 1, 2, 3][n % 4]}"
-        elif 3 <= r <= n - 9:
-            base, label = _two_arm_base(n, r)
-        else:
-            base, label = clique_union(1, n, r), "clique-union"
-
-    if label == "clique-union":
-        g = clique_union(d.k, n, r)
-    else:
-        g = _prepend_blocks(base, d.k - 1, n)
-    recipe = ConstructionRecipe(kind, n, p, label, d.k - 1, base.order, g.edge_count())
+    use = "clique-union"
+    if kind != "path":
+        case = residue_case(kind, n, d.r)
+        if case.bonus(n, d.r) > 0 or (connected and case.has_connected(n)):
+            use = case.base
+    base, label = _BASES[use](n, d.r)
+    g = _prepend_blocks(base, d.k - 1, n)
+    recipe = ConstructionRecipe(kind, n, p, label, d.k - 1, n - 1 + d.r, g.edge_count())
     assert recipe.edges == extremal_value(f, p).value, (
         f"construction/formula mismatch for {kind}, n={n}, p={p}"
     )

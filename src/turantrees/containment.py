@@ -2,12 +2,12 @@
 
 Two engines, one answer:
 
-* ``contains_tree`` dispatches the three spider families to a *skeleton*
-  search: place the high-degree internal star (center plus branch vertices)
-  by direct enumeration, then decide leaf placement exactly with a Hall
-  condition over at most four interchangeable demand classes, extracting a
-  concrete assignment with an augmenting-path matching.  Trees of other
-  kinds (paths, stars, explicit) use the generic engine.
+* ``contains_tree`` sends every tree whose internal vertices induce a star
+  (the three spider families among them) to a *skeleton* search: place the
+  internal star (center plus branch vertices) by direct enumeration, then
+  decide leaf placement exactly with an augmenting-path matching between
+  the interchangeable leaf classes and the free host neighbours, which also
+  yields the concrete assignment.  Other trees use the generic engine.
 
 * ``generic_backtrack`` embeds an arbitrary tree by backtracking over a BFS
   order rooted at a maximum-degree vertex, with degree pruning and an
@@ -31,7 +31,12 @@ from itertools import combinations, product
 from .graphs import SimpleGraph, iter_bits
 from .trees import TreeFamily, realize
 
+# Largest tree order ``generic_backtrack`` accepts: it recurses once per
+# tree vertex, and the interpreter's default recursion limit is 1000.
+MAX_GENERIC_ORDER = 500
+
 __all__ = [
+    "MAX_GENERIC_ORDER",
     "StarSkeleton",
     "build_star_skeleton",
     "contains_tree",
@@ -103,53 +108,72 @@ def build_star_skeleton(t: SimpleGraph) -> StarSkeleton | None:
     return sk
 
 
-def _hall_feasible(classes: list[tuple[int, int]]) -> bool:
-    """Hall's condition for class-uniform leaf demands.
+def _place_leaves(masks: list[int], demands: list[int]) -> list[int] | None:
+    """Give each demand class ``c`` ``demands[c]`` distinct hosts from
+    ``masks[c]``; returns the host mask each class gets, or None.
 
-    ``classes`` holds ``(avail_mask, demand)`` pairs.  Slots inside a class
-    share one neighbourhood, so checking every nonempty subset of classes is
-    exactly Hall's condition for the full slot-vs-host bipartite graph.
+    The leaves of one internal vertex are interchangeable, so the matching
+    runs on classes, not on single leaves: a class first takes its lowest
+    free hosts, then finds each missing host by a breadth-first search for an
+    augmenting path, where one class takes a host another class holds and
+    that class replaces it, until some class on the path has a free host.
+    When no such path exists, the classes reached hold every host they can
+    use and still miss one, which violates Hall's condition, so no placement
+    exists.  That condition is checked first for all classes together: the
+    usual failure, too few free neighbours for all leaves, then costs one
+    union instead of a greedy pass.
     """
-    k = len(classes)
-    for sel in range(1, 1 << k):
-        union = 0
-        need = 0
-        for i in range(k):
-            if sel >> i & 1:
-                union |= classes[i][0]
-                need += classes[i][1]
-        if union.bit_count() < need:
-            return False
-    return True
-
-
-def _match_slots(slot_masks: list[int]) -> list[int] | None:
-    """Assign a distinct host (bit index) to each slot mask, by augmenting
-    paths.  Returns the host per slot, or None."""
-    owner: dict[int, int] = {}  # host -> slot
-    chosen: list[int] = [-1] * len(slot_masks)
-
-    def augment(s: int, banned: int) -> int:
-        """Try to give slot ``s`` a host, displacing owners recursively.
-        Returns the claimed-host bit or 0."""
-        avail = slot_masks[s] & ~banned
-        for h in iter_bits(avail):
-            if h not in owner:
-                owner[h] = s
-                chosen[s] = h
-                return 1 << h
-        for h in iter_bits(avail):
-            moved = augment(owner[h], banned | (1 << h))
-            if moved:
-                owner[h] = s
-                chosen[s] = h
-                return 1 << h
-        return 0
-
-    for s in range(len(slot_masks)):
-        if not augment(s, 0):
-            return None
-    return chosen
+    union = 0
+    for mask in masks:
+        union |= mask
+    if union.bit_count() < sum(demands):
+        return None
+    got = [0] * len(masks)
+    holder: dict[int, int] = {}  # host bit -> the class holding it
+    taken = 0
+    for c, need in enumerate(demands):
+        free = masks[c] & ~taken
+        while need and free:
+            low = free & -free
+            got[c] |= low
+            holder[low] = c
+            taken |= low
+            free ^= low
+            need -= 1
+        while need:
+            via: dict[int, tuple[int, int]] = {}  # class -> (class, host it takes)
+            closed = got[c]  # hosts held by classes already reached
+            queue = [c]
+            end = -1
+            for x in queue:
+                cand = masks[x] & taken & ~closed
+                while cand:
+                    h = cand & -cand
+                    y = holder[h]
+                    via[y] = (x, h)
+                    closed |= got[y]
+                    cand &= ~got[y]
+                    if masks[y] & ~taken:
+                        end = y
+                        break
+                    queue.append(y)
+                if end >= 0:
+                    break
+            if end < 0:
+                return None
+            free = masks[end] & ~taken
+            free &= -free
+            got[end] |= free
+            holder[free] = end
+            taken |= free
+            while end != c:  # each class passes one host back along the path
+                x, h = via[end]
+                got[end] ^= h
+                got[x] |= h
+                holder[h] = x
+                end = x
+            need -= 1
+    return got
 
 
 def _skeleton_search(
@@ -205,34 +229,27 @@ def _skeleton_search(
             if not ok:
                 continue
 
-            classes = [(row0 & ~used, len(sk.center_leaves))]
-            branch_order: list[tuple[int, int, tuple[int, ...]]] = []
+            # One demand class per internal vertex: its leaves share the free
+            # neighbourhood of its image.
+            masks = [row0 & ~used]
+            leaf_classes = [sk.center_leaves]
+            branch_order: list[tuple[int, int]] = []
             for pick, grp in zip(picks, groups):
                 for b, w in zip(grp, pick):
-                    leaves = sk.branch_leaves[sk.branches.index(b)]
-                    classes.append((g.adj[w] & ~used, len(leaves)))
-                    branch_order.append((b, w, leaves))
-            if not _hall_feasible(classes):
+                    masks.append(g.adj[w] & ~used)
+                    leaf_classes.append(sk.branch_leaves[sk.branches.index(b)])
+                    branch_order.append((b, w))
+            got = _place_leaves(masks, [len(ls) for ls in leaf_classes])
+            if got is None:
                 continue
-
-            slot_masks: list[int] = []
-            slot_leaves: list[int] = []
-            for leaf in sk.center_leaves:
-                slot_masks.append(classes[0][0])
-                slot_leaves.append(leaf)
-            for ci, (_, w, leaves) in enumerate(branch_order, start=1):
-                for leaf in leaves:
-                    slot_masks.append(classes[ci][0])
-                    slot_leaves.append(leaf)
-            hosts = _match_slots(slot_masks)
-            assert hosts is not None, "Hall feasibility must imply a matching"
 
             witness = [-1] * n
             witness[sk.center] = w0
-            for b, w, _ in branch_order:
+            for b, w in branch_order:
                 witness[b] = w
-            for leaf, h in zip(slot_leaves, hosts):
-                witness[leaf] = h
+            for leaves, hosts in zip(leaf_classes, got):
+                for leaf, h in zip(leaves, iter_bits(hosts)):
+                    witness[leaf] = h
             return tuple(witness)
     return None
 
@@ -313,11 +330,17 @@ def _engine(
 
 
 def generic_backtrack(g: SimpleGraph, t: SimpleGraph) -> tuple[int, ...] | None:
-    """Embed the tree ``t`` into ``g`` by pure backtracking; witness or None."""
+    """Embed the tree ``t`` into ``g`` by pure backtracking; witness or None.
+    Trees of more than ``MAX_GENERIC_ORDER`` vertices raise ``ValueError``."""
     n = t.n
     p = g.n
     if n > p:
         return None
+    if n > MAX_GENERIC_ORDER:
+        raise ValueError(
+            f"the generic embedding search recurses once per tree vertex and is "
+            f"limited to trees of order <= {MAX_GENERIC_ORDER} (got {n})"
+        )
     if n == 1:
         return (0,) if p >= 1 else None
 
@@ -351,17 +374,17 @@ def contains_tree(g: SimpleGraph, f: TreeFamily) -> tuple[int, ...] | None:
     """Does ``g`` contain the family tree?  Witness tuple (tree vertex ``i``
     maps to host ``w[i]``) or None.
 
-    The three spider families take the skeleton fast path whenever their
-    internal vertices induce a star (always true except ``tppp`` at
-    ``n = 6``, which is a plain path); everything else backtracks.
+    Every tree whose internal vertices induce a star takes the skeleton fast
+    path, whatever its kind: the three spider families (except ``tppp`` at
+    ``n = 6``, which is a plain path), explicit copies of them, stars and
+    paths on at most five vertices.  Every other tree backtracks.
     """
     t = realize(f)
     if t.n > g.n:
         return None
-    if f.kind in ("t3", "tpp", "tppp"):
-        sk = build_star_skeleton(t)
-        if sk is not None:
-            return _skeleton_search(g, t, sk)
+    sk = build_star_skeleton(t)
+    if sk is not None:
+        return _skeleton_search(g, t, sk)
     return generic_backtrack(g, t)
 
 

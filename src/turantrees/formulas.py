@@ -7,15 +7,19 @@ built from complete blocks ``K_{n-1}`` plus a remainder part on ``n-1+r``
 vertices, and every formula below is ``k * C(n-1,2) + C(r,2)`` plus a
 case-dependent bonus.
 
-The dispatch arms carry short stable case labels ("Thm4.1" ... "Thm4.5",
-"Thm3.1/...", "Thm5.1/...", "L2.10/...") that downstream tooling matches on;
-see each docstring for what the case actually is.
+The case split of the three spider families lives in one place, the
+``CASES`` table: per residue case its predicate, the smallest proven ``n``,
+its bonus and the base that earns it.  The values here, the constructions
+and the CLI all read it.  The cases carry short stable labels ("Thm4.1" ...
+"Thm4.5", "Thm3.1/...", "Thm5.1/...", "L2.10/...") that downstream tooling
+matches on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from typing import Callable
 
 from .trees import TreeFamily
 
@@ -26,6 +30,10 @@ __all__ = [
     "ex_path",
     "ex_star",
     "generic_max_form",
+    "ResidueCase",
+    "CASES",
+    "MIN_N",
+    "residue_case",
     "ex_tpp",
     "ex_tppp",
     "ex_t3",
@@ -122,110 +130,128 @@ def generic_max_form(p: int, n: int) -> ExtremalValue:
     return ExtremalValue(_base(d.k, n, d.r) + bonus, f"L2.10/{arm}")
 
 
-# ---------------------------------------------------------------- tpp, tppp
+# ---------------------------------------------------------------- case table
+
+@dataclass(frozen=True, slots=True)
+class ResidueCase:
+    """One row of a spider family's case table over ``r = p mod (n-1)``.
+
+    The value is the block value ``k C(n-1,2) + C(r,2)`` (the universal
+    :func:`lower_bound`) plus ``bonus(n, r)``.  ``base`` names the remainder
+    on ``n-1+r`` vertices that earns the bonus; an extremal host uses it
+    instead of the clique ``K_r`` exactly when the bonus is positive, and,
+    from order ``connected_from`` on, also on request, because there it is a
+    connected base that ties with the clique union.
+    """
+
+    label: str
+    covers: Callable[[int, int], bool]  # (n, r) -> does this case apply
+    min_n: int  # smallest n the case is proven for
+    bonus: Callable[[int, int], int]  # (n, r) -> edges above the block value
+    base: str = "clique-union"  # "clique-union" | "near-regular" | "L4.6" | "L4.7"
+    connected_from: int | None = None
+
+    def has_connected(self, n: int) -> bool:
+        """Whether a connected base attaining the value exists at order ``n``."""
+        return self.connected_from is not None and n >= self.connected_from
+
+
+# The first row covering a residue wins.  The t3 rows partition ``[0, n-2]``
+# for n >= 15; below that ``r = n-8`` can also be a special residue, and
+# Thm 4.1 must take it.
+CASES: dict[str, tuple[ResidueCase, ...]] = {
+    "t3": (
+        ResidueCase("Thm4.1", lambda n, r: r <= 2 or r >= n - 5, 10, lambda n, r: 0),
+        ResidueCase(
+            "Thm4.2", lambda n, r: 3 <= r <= n - 9, 15, _regular_arm, "near-regular"
+        ),
+        ResidueCase("Thm4.3", lambda n, r: r == n - 6, 10, lambda n, r: 0),
+        ResidueCase(
+            "Thm4.4", lambda n, r: r == n - 8, 15,
+            lambda n, r: max(n // 2 - 13, 0), "L4.6", connected_from=26,
+        ),
+        ResidueCase(
+            "Thm4.5", lambda n, r: r == n - 7, 15,
+            lambda n, r: max((n - 37) // 4, 0), "L4.7", connected_from=37,
+        ),
+    ),
+    "tpp": (ResidueCase("Thm3.1", lambda n, r: True, 10, _regular_arm, "near-regular"),),
+    "tppp": (ResidueCase("Thm5.1", lambda n, r: True, 10, _regular_arm, "near-regular"),),
+}
+
+# Smallest tree order at which every case of a family is proven.
+MIN_N: dict[str, int] = {
+    kind: max(case.min_n for case in cases) for kind, cases in CASES.items()
+}
+
+
+def residue_case(kind: str, n: int, r: int) -> ResidueCase:
+    """The first row of the ``kind`` table that covers residue ``r``."""
+    return next(case for case in CASES[kind] if case.covers(n, r))
+
+
+def _table_value(
+    name: str, kind: str, p: int, n: int, partial: bool = False
+) -> ExtremalValue:
+    """The table value at ``(n, p)``; domain errors are reported as ``name``'s.
+
+    ``partial`` admits every ``n`` at which some row is proven; residues
+    whose row is still open at ``n`` then raise.
+    """
+    min_n = min(c.min_n for c in CASES[kind]) if partial else MIN_N[kind]
+    if n < min_n:
+        raise ValueError(f"{name} requires n >= {min_n} (got n={n})")
+    if p < n:
+        raise ValueError(f"{name} requires p >= n (got p={p}, n={n})")
+    k, r = divmod(p, n - 1)
+    case = residue_case(kind, n, r)
+    if n < case.min_n:
+        raise ValueError(
+            f"residue r={r} is not covered for n={n} "
+            f"(open case below n={MIN_N[kind]})"
+        )
+    bonus = case.bonus(n, r)
+    label = case.label
+    if case.base == "near-regular":  # a two-arm case also names the winning arm
+        label += "/regular-arm" if bonus > 0 else "/clique-arm"
+    return ExtremalValue(_base(k, n, r) + bonus, label)
+
 
 def ex_tpp(p: int, n: int) -> ExtremalValue:
-    """Extremal edge count with the ``tpp`` tree forbidden: the generic
-    two-arm maximum, at every residue.
+    """Extremal edge count with the ``tpp`` tree forbidden (Thm 3.1): the
+    generic two-arm maximum, at every residue.
 
     Requires ``n >= 10`` and ``p >= n``.
     """
-    if n < 10:
-        raise ValueError(f"ex_tpp requires n >= 10 (got n={n})")
-    if p < n:
-        raise ValueError(f"ex_tpp requires p >= n (got p={p}, n={n})")
-    inner = generic_max_form(p, n)
-    return ExtremalValue(inner.value, "Thm3.1/" + inner.branch.split("/")[1])
+    return _table_value("ex_tpp", "tpp", p, n)
 
 
 def ex_tppp(p: int, n: int) -> ExtremalValue:
-    """Extremal edge count with the ``tppp`` tree forbidden: identical values
-    to ``ex_tpp``, via the same two-arm maximum.
+    """Extremal edge count with the ``tppp`` tree forbidden (Thm 5.1):
+    identical values to ``ex_tpp``, via the same two-arm maximum.
 
     Requires ``n >= 10`` and ``p >= n``.
     """
-    if n < 10:
-        raise ValueError(f"ex_tppp requires n >= 10 (got n={n})")
-    if p < n:
-        raise ValueError(f"ex_tppp requires p >= n (got p={p}, n={n})")
-    inner = generic_max_form(p, n)
-    return ExtremalValue(inner.value, "Thm5.1/" + inner.branch.split("/")[1])
-
-
-# ---------------------------------------------------------------- t3 dispatch
-
-def _t3_special_residues(n: int) -> set[int]:
-    return {0, 1, 2, n - 5, n - 4, n - 3, n - 2}
+    return _table_value("ex_tppp", "tppp", p, n)
 
 
 def ex_t3(p: int, n: int) -> ExtremalValue:
-    """Extremal edge count with the ``t3`` tree forbidden.
+    """Extremal edge count with the ``t3`` tree forbidden (Thm 4.1--4.5), with
+    the case label of the ``CASES["t3"]`` row that covers ``p mod (n-1)``.
 
-    Requires ``n >= 15`` and ``p >= n``.  Dispatch over ``r``:
-
-    * "Thm4.1"  -- ``r in {0, 1, 2, n-5, n-4, n-3, n-2}``: pure block value
-      ``k C(n-1,2) + C(r,2)``.
-    * "Thm4.2"  -- ``3 <= r <= n-9``: the generic two-arm maximum.
-    * "Thm4.3"  -- ``r = n-6``: ``((n-2) p - 5(n-6)) / 2`` (equals the block
-      value at this residue).
-    * "Thm4.4"  -- ``r = n-8``: ``((n-2) p - 7n + 30) / 2 + max(n // 2, 13)``.
-    * "Thm4.5"  -- ``r = n-7``: ``((n-2) p - 6(n-7)) / 2 +
-      max((n - 37) // 4, 0)``.
-
-    The five arms partition ``[0, n-2]`` exactly for every ``n >= 15``.
+    Requires ``n >= 15`` and ``p >= n``.
     """
-    if n < 15:
-        raise ValueError(f"ex_t3 requires n >= 15 (got n={n})")
-    if p < n:
-        raise ValueError(f"ex_t3 requires p >= n (got p={p}, n={n})")
-    d = decompose(p, n)
-    r = d.r
-    if r in _t3_special_residues(n):
-        return ExtremalValue(_base(d.k, n, r), "Thm4.1")
-    if 3 <= r <= n - 9:
-        bonus = _regular_arm(n, r)
-        arm = "regular-arm" if bonus > 0 else "clique-arm"
-        return ExtremalValue(_base(d.k, n, r) + bonus, f"Thm4.2/{arm}")
-    if r == n - 6:
-        num = (n - 2) * p - 5 * (n - 6)
-        assert num % 2 == 0
-        return ExtremalValue(num // 2, "Thm4.3")
-    if r == n - 8:
-        num = (n - 2) * p - 7 * n + 30
-        assert num % 2 == 0
-        return ExtremalValue(num // 2 + max(n // 2, 13), "Thm4.4")
-    if r == n - 7:
-        num = (n - 2) * p - 6 * (n - 7)
-        assert num % 2 == 0
-        return ExtremalValue(num // 2 + max((n - 37) // 4, 0), "Thm4.5")
-    raise AssertionError(f"residue dispatch must be total: r={r}, n={n}")
+    return _table_value("ex_t3", "t3", p, n)
 
 
 def ex_t3_partial(p: int, n: int) -> ExtremalValue:
-    """The ``t3`` arms whose individual case proofs already hold for
-    ``10 <= n <= 14``: the special residues ("Thm4.1") and ``r = n-6``
-    ("Thm4.3").  Other residues at these orders are open and raise.
+    """The ``t3`` value where its case is already proven: from ``n >= 10``
+    the special residues ("Thm4.1") and ``r = n-6`` ("Thm4.3"), every
+    residue from ``n >= 15``.  Residues still open at ``n`` raise.
 
-    Requires ``n >= 10`` and ``p >= n``; delegates to :func:`ex_t3` once
-    ``n >= 15``.
+    Requires ``n >= 10`` and ``p >= n``.
     """
-    if n < 10:
-        raise ValueError(f"ex_t3_partial requires n >= 10 (got n={n})")
-    if p < n:
-        raise ValueError(f"ex_t3_partial requires p >= n (got p={p}, n={n})")
-    if n >= 15:
-        return ex_t3(p, n)
-    d = decompose(p, n)
-    r = d.r
-    if r in _t3_special_residues(n):
-        return ExtremalValue(_base(d.k, n, r), "Thm4.1")
-    if r == n - 6:
-        num = (n - 2) * p - 5 * (n - 6)
-        assert num % 2 == 0
-        return ExtremalValue(num // 2, "Thm4.3")
-    raise ValueError(
-        f"residue r={r} is not covered for n={n} (open case below n=15)"
-    )
+    return _table_value("ex_t3_partial", "t3", p, n, partial=True)
 
 
 # ---------------------------------------------------------------- bounds

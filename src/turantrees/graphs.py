@@ -13,12 +13,16 @@ Serialization supports two formats:
   graph).  Both header regimes are implemented: single-byte orders
   ``n <= 62`` and the three-byte long form for ``63 <= n <= 258047``.
 * **edge text** -- one ``u v`` pair per line, zero-based, ``#`` comments and
-  blank lines ignored; the vertex count of a parsed graph is ``max index + 1``
-  (isolated trailing vertices are not representable in this format).
+  blank lines ignored.  An optional header ``p=<count>`` before the first
+  edge gives the vertex count, so trailing isolated vertices survive;
+  without it the count is ``max index + 1``.  Graph files written in this
+  format start with the header as a comment line, ``# p=<count>``, which
+  keeps every line a two-token line that any edge-list reader skips.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -280,20 +284,30 @@ def from_graph6(text: str) -> SimpleGraph:
 
 # ---------------------------------------------------------------- edge text
 
+_P_HEADER = re.compile(r"(?:#\s*)?p=(\d+)")
+
+
 def to_edge_text(g: SimpleGraph) -> str:
     """Render a graph as ``u v`` lines (zero-based, lexicographically sorted)."""
     return "".join(f"{u} {v}\n" for u, v in g.edges())
 
 
 def from_edge_text(text: str) -> SimpleGraph:
-    """Parse ``u v`` lines into a graph on ``max index + 1`` vertices.
+    """Parse ``u v`` lines into a graph on ``max index + 1`` vertices, or on
+    ``count`` vertices when a header line ``p=<count>`` (or ``# p=<count>``)
+    comes before the first edge.
 
-    Blank lines and ``#`` comments are ignored.  An empty edge list yields the
-    empty graph on zero vertices.
+    Blank lines and other ``#`` comments are ignored.  An empty edge list
+    without a header yields the empty graph on zero vertices.  A header count
+    below ``max index + 1`` raises ``ValueError``.
     """
     edges: list[tuple[int, int]] = []
     top = -1
+    count = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if count is None and not edges and (header := _P_HEADER.fullmatch(raw.strip())):
+            count = int(header.group(1))
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -310,7 +324,13 @@ def from_edge_text(text: str) -> SimpleGraph:
             raise ValueError(f"line {lineno}: loop at vertex {u}")
         top = max(top, u, v)
         edges.append((u, v))
-    return SimpleGraph.from_edges(top + 1, edges)
+    if count is None:
+        count = top + 1
+    elif count < top + 1:
+        raise ValueError(
+            f"header p={count} is below the largest vertex index + 1 ({top + 1})"
+        )
+    return SimpleGraph.from_edges(count, edges)
 
 
 def write_graph_file(g: SimpleGraph, path: str, fmt: str = "g6") -> None:
@@ -318,7 +338,7 @@ def write_graph_file(g: SimpleGraph, path: str, fmt: str = "g6") -> None:
     if fmt == "g6":
         payload = to_graph6(g) + "\n"
     elif fmt == "edges":
-        payload = to_edge_text(g)
+        payload = f"# p={g.n}\n" + to_edge_text(g)
     else:
         raise ValueError(f"unknown graph format {fmt!r} (expected 'g6' or 'edges')")
     with open(path, "w", encoding="ascii") as fh:
@@ -328,8 +348,9 @@ def write_graph_file(g: SimpleGraph, path: str, fmt: str = "g6") -> None:
 def read_graph_file(path: str) -> SimpleGraph:
     """Read a graph from ``path``, sniffing the format.
 
-    A first non-comment line containing two whitespace-separated integers is
-    treated as edge text; anything else is parsed as graph6.
+    A first non-comment line holding two whitespace-separated integers or a
+    ``p=<count>`` header is treated as edge text; anything else is parsed as
+    graph6 (whose bytes never include ``=``).
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -338,7 +359,9 @@ def read_graph_file(path: str) -> SimpleGraph:
         if not line:
             continue
         parts = line.split()
-        if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
+        if _P_HEADER.fullmatch(line) or (
+            len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts)
+        ):
             return from_edge_text(text)
         return from_graph6(text)
     return from_edge_text(text)  # only blanks/comments: empty graph

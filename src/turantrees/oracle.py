@@ -43,12 +43,16 @@ __all__ = [
     "BudgetExceeded",
     "DEFAULT_BUDGET_NODES",
     "DEFAULT_BUDGET_SECONDS",
+    "MAX_ORACLE_ORDER",
     "ex_bruteforce",
     "verify_formula",
 ]
 
 DEFAULT_BUDGET_NODES = 100_000_000
 DEFAULT_BUDGET_SECONDS = 60.0
+# Largest host order searched: the search recurses once per vertex pair, and
+# C(40, 2) = 780 levels stay below the interpreter's recursion limit of 1000.
+MAX_ORACLE_ORDER = 40
 
 
 class BudgetExceeded(Exception):
@@ -201,6 +205,28 @@ def _worker_run(args: tuple) -> tuple[int, list[int] | None, int, int, bool]:
     return bf.best, bf.best_rows, bf.nodes, bf.best_tag, exact
 
 
+def _result(
+    p: int,
+    best: int,
+    rows: list[int] | None,
+    exact: bool,
+    nodes: int,
+    started: float,
+    threads: int,
+) -> OracleResult:
+    """The outcome of a search whose incumbent is ``best`` with adjacency
+    ``rows`` (the empty host when nothing was found)."""
+    return OracleResult(
+        p=p,
+        value=max(best, 0),
+        exact=exact,
+        witness=SimpleGraph(p, list(rows) if rows is not None else [0] * p),
+        nodes=nodes,
+        elapsed=time.monotonic() - started,
+        threads=threads,
+    )
+
+
 # ---------------------------------------------------------------- public API
 
 def ex_bruteforce(
@@ -214,7 +240,8 @@ def ex_bruteforce(
     """Exact maximum edge count over tree-avoiding graphs on ``p`` vertices.
 
     Requires ``p >= 1``.  When the tree has more vertices than the host, the
-    complete graph is the (trivial) maximizer.  Budgets: ``budget_nodes``
+    complete graph is the (trivial) maximizer; otherwise the search requires
+    ``p <= MAX_ORACLE_ORDER``.  Budgets: ``budget_nodes``
     (default from ``TURAN_BUDGET_NODES`` or 10**8 per search/worker) and
     ``budget_seconds`` (default 60).
     """
@@ -228,16 +255,13 @@ def ex_bruteforce(
 
     started = time.monotonic()
     if t.n > p:
-        return OracleResult(
-            p=p,
-            value=comb(p, 2),
-            exact=True,
-            witness=SimpleGraph.complete(p),
-            nodes=0,
-            elapsed=time.monotonic() - started,
-            threads=threads,
-        )
+        return _result(p, comb(p, 2), SimpleGraph.complete(p).adj, True, 0, started, threads)
 
+    if p > MAX_ORACLE_ORDER:
+        raise ValueError(
+            f"ex_bruteforce recurses once per vertex pair and is limited to "
+            f"p <= {MAX_ORACLE_ORDER} (got p={p})"
+        )
     nodes_budget = _resolve_budget_nodes(budget_nodes)
     seconds = DEFAULT_BUDGET_SECONDS if budget_seconds is None else budget_seconds
     deadline = started + seconds
@@ -250,17 +274,7 @@ def ex_bruteforce(
             bf.dfs(0)
         except BudgetExceeded:
             exact = False
-        value = max(bf.best, 0)
-        rows = bf.best_rows if bf.best_rows is not None else [0] * p
-        return OracleResult(
-            p=p,
-            value=value,
-            exact=exact,
-            witness=SimpleGraph(p, list(rows)),
-            nodes=bf.nodes,
-            elapsed=time.monotonic() - started,
-            threads=1,
-        )
+        return _result(p, bf.best, bf.best_rows, exact, bf.nodes, started, 1)
 
     # Parallel: enumerate a deterministic frontier, then fan out.
     n_slots = p * (p - 1) // 2
@@ -277,17 +291,7 @@ def ex_bruteforce(
         # Tiny instance (the frontier depth covers every slot, so the
         # generator already exhausted the space) or the budget died during
         # frontier generation: the generator's incumbent is the result.
-        value = max(gen.best, 0)
-        rows = gen.best_rows if gen.best_rows is not None else [0] * p
-        return OracleResult(
-            p=p,
-            value=value,
-            exact=gen_exact,
-            witness=SimpleGraph(p, list(rows)),
-            nodes=gen.nodes,
-            elapsed=time.monotonic() - started,
-            threads=threads,
-        )
+        return _result(p, gen.best, gen.best_rows, gen_exact, gen.nodes, started, threads)
     states = [(tag, st) for tag, st in enumerate(gen.collect)]
 
     batches: list[list] = [[] for _ in range(threads)]
@@ -313,17 +317,7 @@ def ex_bruteforce(
         exact = exact and w_exact
         if w_best > best or (w_best == best and 0 <= w_tag < best_tag):
             best, best_rows, best_tag = w_best, w_rows, w_tag
-    value = max(best, 0)
-    rows = best_rows if best_rows is not None else [0] * p
-    return OracleResult(
-        p=p,
-        value=value,
-        exact=exact,
-        witness=SimpleGraph(p, list(rows)),
-        nodes=total_nodes,
-        elapsed=time.monotonic() - started,
-        threads=threads,
-    )
+    return _result(p, best, best_rows, exact, total_nodes, started, threads)
 
 
 def verify_formula(

@@ -11,7 +11,9 @@ import jsonschema
 import pytest
 
 from turantrees.cli import eval_nexpr, main
+from turantrees.formulas import extremal_value
 from turantrees.graphs import SimpleGraph, read_graph_file, to_graph6
+from turantrees.trees import path, star, t3, tpp, tppp
 
 SCHEMA = json.loads(
     resources.files("turantrees").joinpath("report_schema.json").read_text()
@@ -288,6 +290,108 @@ def test_table_csv(capsys):
 def test_table_empty_range_exits_2(capsys):
     code, rep = run_cli(capsys, "table", "t3", "15", "20", "15")
     assert code == 2
+
+
+# ------------------------------------------------- formula and table = library
+
+_GRID = [
+    (tag, n, partial)
+    for tag, ns in (
+        ("t3", (10, 12, 15, 28, 41)),
+        ("tpp", (10, 13, 30)),
+        ("tppp", (10, 21)),
+        ("path", (2, 4, 7)),
+        ("star", (1, 3, 6)),
+    )
+    for n in ns
+    for partial in ((False, True) if tag == "t3" else (False,))
+]
+
+
+def _report(capsys, *argv: str) -> tuple[int, dict]:
+    """``run_cli`` without the schema check, which dominates a call's time."""
+    code = main(["--quiet", *argv])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _library(tag: str, n: int, p: int, partial: bool = False) -> dict:
+    maker = {"t3": t3, "tpp": tpp, "tppp": tppp, "path": path, "star": star}[tag]
+    try:
+        ev = extremal_value(maker(n), p, partial=partial)
+    except ValueError as exc:
+        return {"error": str(exc)}
+    return {"value": ev.value, "branch": ev.branch}
+
+
+@pytest.mark.parametrize("tag,n,partial", _GRID)
+def test_formula_equals_extremal_value(capsys, tag, n, partial):
+    # p < n, then every residue once, then one step into the next block
+    flags = ["--partial"] if partial else []
+    for p in range(0, 2 * n + 1):
+        code, rep = _report(capsys, "formula", tag, str(n), str(p), *flags)
+        want = _library(tag, n, p, partial)
+        if "error" in want:
+            assert code == 2 and rep["error"] == want["error"]
+        else:
+            assert code == 0
+            assert (rep["value"], rep["branch"]) == (want["value"], want["branch"])
+
+
+@pytest.mark.parametrize("tag,n,partial", [g for g in _GRID if not g[2]])
+def test_table_rows_equal_extremal_value(capsys, tag, n, partial):
+    tree_n = n + 1 if tag == "star" else n
+    code, rep = _report(capsys, "table", tag, str(n), "0", str(3 * n + 2))
+    if code == 2:  # no closed form somewhere in the range: the library agrees
+        assert any("error" in _library(tag, n, p) for p in range(0, 3 * n + 3))
+        return
+    assert [row["p"] for row in rep["rows"]] == list(range(0, 3 * n + 3))
+    for row in rep["rows"]:
+        p = row["p"]
+        want = _library(tag, n, p)
+        assert (row["value"], row["branch"]) == (want["value"], want["branch"])
+        if tag == "star":
+            assert (row["k"], row["r"]) == (0, 0)
+        elif p < tree_n:
+            assert (row["k"], row["r"]) == (0, p)
+        else:
+            assert (row["k"], row["r"]) == divmod(p, n - 1)
+
+
+def test_formula_below_tree_order(capsys):
+    # the library and the CLI agree below p = n
+    code, rep = run_cli(capsys, "formula", "t3", "15", "10")
+    assert code == 0
+    assert (rep["value"], rep["branch"]) == (45, "small-host")
+    # a path at p = n - 1 is a small host too; its value is unchanged
+    code, rep = run_cli(capsys, "formula", "path", "5", "4")
+    assert (rep["value"], rep["branch"]) == (6, "small-host")
+
+
+# -------------------------------------------------------- bounds on the input
+
+def test_edge_list_construction_keeps_its_order(capsys, tmp_path):
+    out = tmp_path / "x.edges"
+    code, rep = run_cli(
+        capsys, "construct", "tpp", "20", "39", str(out), "--format", "edges"
+    )
+    assert code == 0 and rep["order"] == 39
+    code, rep = run_cli(capsys, "check", str(out), "tpp:20")
+    assert code == 0
+    assert rep["order"] == 39 and rep["contains"] is False
+
+
+def test_oracle_host_order_bound_exits_2(capsys):
+    code, rep = run_cli(capsys, "oracle", "50", "star:2")
+    assert code == 2
+    assert "p <= 40" in rep["error"]
+
+
+def test_check_generic_order_bound_exits_2(capsys, tmp_path):
+    host = tmp_path / "path.edges"
+    host.write_text("".join(f"{i} {i + 1}\n" for i in range(1199)))
+    code, rep = run_cli(capsys, "check", str(host), "path:1100")
+    assert code == 2
+    assert "order <= 500" in rep["error"]
 
 
 # ------------------------------------------------------------------ the shell

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from turantrees.constructions import clique_union, lemma46_even, near_regular
+from turantrees.constructions import extremal_graph
 from turantrees.containment import (
+    MAX_GENERIC_ORDER,
     contains_through_edge,
     contains_tree,
     edge_anchored_contexts,
@@ -221,6 +223,120 @@ def test_lemma46_freeness_decided_quickly():
     start = time.monotonic()
     assert contains_tree(g, t3(26)) is None
     assert time.monotonic() - start < 10.0
+
+
+def test_matching_on_dense_near_regular_host_is_fast():
+    # the tpp n=20, p=25 near-regular host plus the non-edge (0, 14): an
+    # augmenting-path search without a visited set ran for minutes here
+    g, _ = extremal_graph(tpp(20), 25)
+    assert not g.has_edge(0, 14)
+    g = SimpleGraph.from_edges(g.n, list(g.edges()) + [(0, 14)])
+    start = time.monotonic()
+    w = contains_tree(g, tpp(20))
+    assert time.monotonic() - start < 2.0
+    assert w is not None and verify_witness(g, realize(tpp(20)), w)
+
+
+@pytest.mark.parametrize(
+    "f,p",
+    [(t3(28), 47), (t3(29), 49), (tpp(20), 25), (tppp(21), 30), (t3(15), 23)],
+)
+def test_explicit_spider_copies_answer_like_the_family(f, p):
+    # the engine follows the tree's shape: an explicit copy of a spider takes
+    # the same skeleton search as the family spec
+    g, _ = extremal_graph(f, p)
+    copy = explicit_tree(list(realize(f).edges()))
+    rng = random.Random(p)
+    non_edges = [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+    ]
+    start = time.monotonic()
+    assert contains_tree(g, copy) is None
+    for u, v in rng.sample(non_edges, 5):
+        h = SimpleGraph.from_edges(g.n, list(g.edges()) + [(u, v)])
+        expected = contains_tree(h, f) is not None
+        w = contains_tree(h, copy)
+        assert (w is not None) == expected
+        assert w is None or verify_witness(h, realize(copy), w)
+    assert time.monotonic() - start < 2.0
+
+
+def test_many_branch_skeleton_trees():
+    # nine legs of length two: the skeleton search agrees with the generic
+    # engine, and rejects a host that only a full search would otherwise settle
+    legs = explicit_tree(
+        [(0, i) for i in range(1, 10)] + [(i, 9 + i) for i in range(1, 10)]
+    )
+    t = realize(legs)
+    # free: only 0 and 10 have nine neighbours of degree >= 2, and the legs
+    # through 1..9 would all have to end at whichever of the two is not the hub
+    crowded = SimpleGraph.from_edges(
+        19,
+        [(0, i) for i in range(1, 10)]
+        + [(i, 10) for i in range(1, 10)]
+        + [(j, j + 1) for j in range(10, 18)],
+    )
+    assert contains_tree(crowded, legs) is None
+    rng = random.Random(5)
+    for _ in range(20):
+        p = rng.randint(19, 22)
+        q = rng.uniform(0.25, 0.5)
+        g = SimpleGraph.from_edges(
+            p, [(u, v) for u in range(p) for v in range(u + 1, p) if rng.random() < q]
+        )
+        w = contains_tree(g, legs)
+        assert (w is None) == (generic_backtrack(g, t) is None)
+        assert w is None or verify_witness(g, t, w)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_skeleton_search_agrees_with_generic_engine(seed):
+    # star-skeleton trees with unequal leaf classes, on random small hosts
+    rng = random.Random(seed)
+    edges, v = [], 1
+    for _ in range(rng.randrange(0, 4)):
+        b, v = v, v + 1
+        edges.append((0, b))
+        for _ in range(rng.randrange(1, 4)):
+            edges, v = edges + [(b, v)], v + 1
+    for _ in range(rng.randrange(0 if edges else 2, 3)):
+        edges, v = edges + [(0, v)], v + 1
+    f = explicit_tree(edges)
+    t = realize(f)
+    p = rng.randrange(v, v + 4)
+    g = host_from_edges(p, R.random_host_edges(rng, p, rng.uniform(0.2, 0.6)))
+    w = contains_tree(g, f)
+    assert (w is None) == (generic_backtrack(g, t) is None)
+    assert w is None or verify_witness(g, t, w)
+
+
+def test_skeleton_matching_follows_long_augmenting_paths():
+    # a spider with k legs of length two on a host where leg i may end at
+    # leaf host i or i+1 and the last leg only at leaf host 1: the greedy
+    # placement leaves the last leg stranded, and the only augmenting path
+    # runs through every leg, deeper than the interpreter's recursion limit
+    k = 1000
+    legs = explicit_tree(
+        [(0, i) for i in range(1, k + 1)] + [(i, k + i) for i in range(1, k + 1)]
+    )
+    edges = [(0, i) for i in range(1, k + 1)] + [(k, k + 1)]
+    edges += [(i, k + i) for i in range(1, k)] + [(i, k + i + 1) for i in range(1, k)]
+    g = SimpleGraph.from_edges(2 * k + 1, edges)
+    start = time.monotonic()
+    w = contains_tree(g, legs)
+    assert time.monotonic() - start < 2.0
+    assert w is not None and verify_witness(g, realize(legs), w)
+
+
+def test_generic_engine_order_bound():
+    host = SimpleGraph.from_edges(1200, [(i, i + 1) for i in range(1199)])
+    w = contains_tree(host, path(MAX_GENERIC_ORDER))
+    assert w is not None and verify_witness(host, realize(path(MAX_GENERIC_ORDER)), w)
+    with pytest.raises(ValueError, match=f"order <= {MAX_GENERIC_ORDER}"):
+        contains_tree(host, path(MAX_GENERIC_ORDER + 1))
+    # a tree larger than the host needs no search at all
+    assert contains_tree(SimpleGraph.empty(600), path(1100)) is None
 
 
 def test_large_sparse_host_fast_rejection():

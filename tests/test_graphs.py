@@ -237,3 +237,29 @@ def test_file_round_trip_and_sniffing(tmp_path):
     missing = tmp_path / "missing.g6"
     with pytest.raises(OSError):
         read_graph_file(str(missing))
+
+
+def test_edge_file_keeps_trailing_isolated_vertices(tmp_path):
+    g = SimpleGraph.from_edges(7, [(0, 1), (1, 2)])
+    path = tmp_path / "g.edges"
+    write_graph_file(g, str(path), "edges")
+    assert read_graph_file(str(path)) == g
+    empty = SimpleGraph.empty(3)
+    write_graph_file(empty, str(path), "edges")
+    assert read_graph_file(str(path)) == empty
+
+
+def test_edge_text_count_header():
+    assert from_edge_text("p=5\n0 1\n") == SimpleGraph.from_edges(5, [(0, 1)])
+    assert from_edge_text("# a comment\n# p=4\n0 1\n").n == 4
+    assert from_edge_text("p=3\n").n == 3
+    with pytest.raises(ValueError, match=r"p=2 .*\(4\)"):
+        from_edge_text("p=2\n0 3\n")
+    with pytest.raises(ValueError, match="line 2"):
+        from_edge_text("0 1\np=5\n")  # only before the first edge
+
+
+def test_sniffer_reads_header_only_files(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("p=4\n")
+    assert read_graph_file(str(path)) == SimpleGraph.empty(4)

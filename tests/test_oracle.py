@@ -9,7 +9,12 @@ import pytest
 from turantrees.containment import contains_tree
 from turantrees.formulas import ex_path, ex_star
 from turantrees.graphs import SimpleGraph
-from turantrees.oracle import OracleResult, ex_bruteforce, verify_formula
+from turantrees.oracle import (
+    MAX_ORACLE_ORDER,
+    OracleResult,
+    ex_bruteforce,
+    verify_formula,
+)
 from turantrees.trees import explicit_tree, path, realize, star, t3, tpp, tppp
 
 import reference as R
@@ -60,6 +65,16 @@ def test_one_vertex_tree_rejected():
         ex_bruteforce(0, path(2))
     with pytest.raises(ValueError, match="threads"):
         ex_bruteforce(4, path(2), threads=0)
+
+
+def test_host_order_bound():
+    # the search recurses once per vertex pair
+    res = ex_bruteforce(MAX_ORACLE_ORDER, star(2))
+    assert res.exact and res.value == MAX_ORACLE_ORDER // 2
+    with pytest.raises(ValueError, match=f"p <= {MAX_ORACLE_ORDER}"):
+        ex_bruteforce(MAX_ORACLE_ORDER + 1, star(2))
+    # a tree larger than the host needs no search at all
+    assert ex_bruteforce(50, path(60)).value == comb(50, 2)
 
 
 # ----------------------------------------------- agreement with closed forms
