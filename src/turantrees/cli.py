@@ -31,9 +31,11 @@ import re
 import sys
 import time
 from dataclasses import asdict
+from functools import lru_cache, reduce
 from math import comb
+from operator import or_
 
-from .graphs import read_graph_file, to_graph6, write_graph_file
+from .graphs import SimpleGraph, read_graph_file, to_graph6, write_graph_file
 from .trees import parse_family_spec, realize, spec_string
 from .formulas import (
     CASES,
@@ -48,7 +50,7 @@ from .formulas import (
     residue_case,
     upper_bound,
 )
-from .constructions import extremal_graph
+from .constructions import clique_union, extremal_graph
 from .containment import contains_tree, verify_witness
 from .oracle import ex_bruteforce, verify_formula
 
@@ -184,6 +186,31 @@ _ORACLE_SUITE: list[tuple[str, list[int]]] = [
 ]
 
 
+@lru_cache(maxsize=256)
+def _block_rows(blocks: int, n: int) -> tuple[int, ...]:
+    """The rows of ``blocks >= 1`` disjoint complete blocks ``K_{n-1}``."""
+    return tuple(clique_union(blocks, n, 0).adj)
+
+
+def _base_rows(g: SimpleGraph, blocks: int, n: int) -> tuple[int, ...] | None:
+    """The rows of the base of ``g``, shifted down to vertex 0, if the first
+    ``blocks`` groups of ``n - 1`` vertices of ``g`` are complete blocks
+    ``K_{n-1}`` with no edge leaving them; else None.
+
+    A block has fewer than ``n`` vertices and a tree on ``n`` vertices is
+    connected, so ``g`` contains the tree exactly when its base does.
+    """
+    shift = blocks * (n - 1)
+    if shift == 0:
+        return tuple(g.adj)
+    if shift > g.n or tuple(g.adj[:shift]) != _block_rows(blocks, n):
+        return None
+    rows = g.adj[shift:]
+    if reduce(or_, rows, 0) & ((1 << shift) - 1):
+        return None
+    return tuple([row >> shift for row in rows])
+
+
 def _cmd_verify(args) -> tuple[dict, int]:
     started = time.monotonic()
     n_lo_s, n_hi_s = _parse_span(args.n)
@@ -209,6 +236,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
         )
     }
     failures: list[dict] = []
+    # T-freeness of each distinct base checked so far, keyed by (family, rows).
+    base_free: dict[tuple, bool] = {}
 
     def record(name: str, passed: bool, **info) -> None:
         counts[name]["checked"] += 1
@@ -221,6 +250,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
         p_lo = eval_nexpr(p_lo_s, n)
         p_hi = eval_nexpr(p_hi_s, n)
         _log(args.quiet, f"verify: n={n}, p in [{p_lo}, {p_hi}]")
+        trees = {
+            tag: parse_family_spec(f"{tag}:{n}") for tag in families if n >= MIN_N[tag]
+        }
         for p in range(max(p_lo, 0), p_hi + 1):
             if n >= 10 and p >= n:
                 a = ex_tpp(p, n).value
@@ -228,10 +260,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
                 c = generic_max_form(p, n).value
                 record("identity", a == b == c, n=n, p=p)
 
-            for tag in families:
-                if n < MIN_N[tag] or p < n:
+            for tag, f in trees.items():
+                if p < n:
                     continue
-                f = parse_family_spec(f"{tag}:{n}")
                 value = extremal_value(f, p).value
 
                 lb, ub = lower_bound(p, n), upper_bound(p, n)
@@ -270,9 +301,14 @@ def _cmd_verify(args) -> tuple[dict, int]:
                 for variant in variants:
                     try:
                         g, recipe = extremal_graph(f, p, **variant)
-                        construction_ok = (
-                            recipe.edges == value and contains_tree(g, f) is None
-                        )
+                        rows = _base_rows(g, recipe.prepended_blocks, n)
+                        construction_ok = recipe.edges == value and rows is not None
+                        if construction_ok:
+                            construction_ok = base_free.get((f, rows))
+                            if construction_ok is None:
+                                base = SimpleGraph(len(rows), list(rows))
+                                construction_ok = contains_tree(base, f) is None
+                                base_free[f, rows] = construction_ok
                     except (ValueError, AssertionError):
                         construction_ok = False
                     record(

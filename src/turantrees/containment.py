@@ -26,6 +26,7 @@ anchored check for embeddings that use one prescribed host edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .graphs import SimpleGraph, iter_bits
@@ -370,6 +371,13 @@ def generic_backtrack(g: SimpleGraph, t: SimpleGraph) -> tuple[int, ...] | None:
 
 # ---------------------------------------------------------------- public API
 
+@lru_cache(maxsize=64)
+def _prepared(f: TreeFamily) -> tuple[SimpleGraph, StarSkeleton | None]:
+    """The family's tree and its star skeleton, built once per family."""
+    t = realize(f)
+    return t, build_star_skeleton(t)
+
+
 def contains_tree(g: SimpleGraph, f: TreeFamily) -> tuple[int, ...] | None:
     """Does ``g`` contain the family tree?  Witness tuple (tree vertex ``i``
     maps to host ``w[i]``) or None.
@@ -377,12 +385,12 @@ def contains_tree(g: SimpleGraph, f: TreeFamily) -> tuple[int, ...] | None:
     Every tree whose internal vertices induce a star takes the skeleton fast
     path, whatever its kind: the three spider families (except ``tppp`` at
     ``n = 6``, which is a plain path), explicit copies of them, stars and
-    paths on at most five vertices.  Every other tree backtracks.
+    paths on at most five vertices.  Every other tree backtracks.  The tree
+    and its skeleton are built once per family and reused.
     """
-    t = realize(f)
+    t, sk = _prepared(f)
     if t.n > g.n:
         return None
-    sk = build_star_skeleton(t)
     if sk is not None:
         return _skeleton_search(g, t, sk)
     return generic_backtrack(g, t)

@@ -97,11 +97,15 @@ class SimpleGraph:
         offs = sorted(set(offsets))
         if offs and not (1 <= offs[0] and offs[-1] <= n // 2):
             raise ValueError(f"offsets must lie in [1, {n // 2}] for order {n}")
-        adj = [0] * n
-        for v in range(n):
-            for o in offs:
-                adj[v] |= 1 << ((v + o) % n)
-                adj[v] |= 1 << ((v - o) % n)
+        # Row v is row 0 rotated left by v within n bits.
+        full = (1 << n) - 1
+        row = 0
+        for o in offs:
+            row |= 1 << o | 1 << (n - o)
+        adj = []
+        for _ in range(n):
+            adj.append(row)
+            row = (row << 1 | row >> (n - 1)) & full
         return SimpleGraph(n, adj)
 
     # ------------------------------------------------------------ basic queries
@@ -207,6 +211,10 @@ class SimpleGraph:
 # ---------------------------------------------------------------- graph6
 
 _G6_LONG = 126  # '~'
+# graph6 byte -> its six body bits, most significant first.
+_G6_BITS = {63 + x: format(x, "06b") for x in range(64)}
+_G6_CHAR = {bits: chr(byte) for byte, bits in _G6_BITS.items()}
+_SIX = re.compile(".{6}")
 
 
 def to_graph6(g: SimpleGraph) -> str:
@@ -221,21 +229,13 @@ def to_graph6(g: SimpleGraph) -> str:
         raise ValueError("graph too large for this graph6 encoder (n > 258047)")
 
     # Upper-triangle bits in column order: x(0,1), x(0,2), x(1,2), x(0,3), ...
-    body: list[int] = []
-    acc = 0
-    nbits = 0
-    for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            acc = acc << 1 | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                body.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        body.append((acc << (6 - nbits)) + 63)
-    return bytes(head + body).decode("ascii")
+    # Column v is bits 0..v-1 of adj[v], lowest first.
+    bits = "".join(
+        format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)
+    )
+    bits += "0" * (-len(bits) % 6)
+    body = "".join(map(_G6_CHAR.__getitem__, _SIX.findall(bits)))
+    return bytes(head).decode("ascii") + body
 
 
 def from_graph6(text: str) -> SimpleGraph:
@@ -248,7 +248,7 @@ def from_graph6(text: str) -> SimpleGraph:
     data = s.encode("ascii", errors="strict")
     if not data:
         raise ValueError("empty graph6 string")
-    if any(b < 63 or b > 126 for b in data):
+    if min(data) < 63 or max(data) > 126:
         raise ValueError("graph6 byte out of range [63, 126]")
 
     if data[0] == _G6_LONG:
@@ -270,15 +270,16 @@ def from_graph6(text: str) -> SimpleGraph:
         kind = "truncated" if len(body) < nbytes else "trailing garbage in"
         raise ValueError(f"{kind} graph6 body: expected {nbytes} bytes, got {len(body)}")
 
+    # Column v holds x(0,v) .. x(v-1,v): bits 0..v-1 of adj[v], lowest first.
+    bits = body.decode("ascii").translate(_G6_BITS)
     adj = [0] * n
-    idx = 0
+    start = 0
     for v in range(1, n):
-        for u in range(v):
-            byte = body[idx // 6] - 63
-            if byte >> (5 - idx % 6) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            idx += 1
+        col = int(bits[start : start + v][::-1], 2)
+        start += v
+        adj[v] |= col
+        for u in iter_bits(col):
+            adj[u] |= 1 << v
     return SimpleGraph(n, adj)
 
 

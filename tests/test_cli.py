@@ -10,6 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from turantrees import cli
 from turantrees.cli import eval_nexpr, main
 from turantrees.formulas import extremal_value
 from turantrees.graphs import SimpleGraph, read_graph_file, to_graph6
@@ -18,6 +19,9 @@ from turantrees.trees import path, star, t3, tpp, tppp
 SCHEMA = json.loads(
     resources.files("turantrees").joinpath("report_schema.json").read_text()
 )
+# Checking the schema itself once keeps each report validation cheap.
+jsonschema.Draft202012Validator.check_schema(SCHEMA)
+REPORT_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, dict | str]:
@@ -27,7 +31,7 @@ def run_cli(capsys, *argv: str) -> tuple[int, dict | str]:
         report = json.loads(out)
     except json.JSONDecodeError:
         return code, out
-    jsonschema.validate(report, SCHEMA)
+    REPORT_VALIDATOR.validate(report)
     return code, report
 
 
@@ -253,6 +257,77 @@ def test_verify_empty_range_exits_2(capsys):
     assert code == 2
 
 
+def _patched_hosts(monkeypatch, change):
+    """Make ``verify`` see ``change(g, n, p)`` in place of each host whose
+    ``change`` returns a graph; the recipe (and so its edge count) is kept."""
+    real = cli.extremal_graph
+
+    def fake(f, p, **kwargs):
+        g, recipe = real(f, p, **kwargs)
+        changed = change(g, f.n, p)
+        return (g if changed is None else changed), recipe
+
+    monkeypatch.setattr(cli, "extremal_graph", fake)
+
+
+def test_verify_rejects_an_edge_between_block_and_base(capsys, monkeypatch):
+    # t3 at n = 15, p = 30 is one block K_14 followed by a base on 16 vertices.
+    def join_block_to_base(g, n, p):
+        adj = list(g.adj)
+        adj[n - 2] |= 1 << (n - 1)
+        adj[n - 1] |= 1 << (n - 2)
+        return SimpleGraph(g.n, adj)
+
+    _patched_hosts(monkeypatch, join_block_to_base)
+    code, rep = run_cli(capsys, "verify", "--n", "15..15", "--p", "30..30",
+                        "--families", "t3")
+    assert code == 1 and rep["ok"] is False
+    assert rep["results"]["constructions"] == {"checked": 1, "failures": 1}
+    assert rep["results"]["failures_detail"] == [
+        {"check": "constructions", "family": "t3", "n": 15, "p": 30}
+    ]
+
+
+def test_verify_rejects_a_base_that_holds_the_tree(capsys, monkeypatch):
+    # Only the host at p = 2n - 1 gets a complete base K_n; the host at p = n
+    # has the same residue, so a memo keyed by anything coarser than the
+    # base's rows would pass it unchecked.
+    def complete_base(g, n, p):
+        if p != 2 * n - 1:
+            return None
+        return SimpleGraph.complete(n - 1).disjoint_union(SimpleGraph.complete(n))
+
+    _patched_hosts(monkeypatch, complete_base)
+    code, rep = run_cli(capsys, "verify", "--n", "15..15", "--p", "n..3n",
+                        "--families", "tpp")
+    assert code == 1 and rep["ok"] is False
+    assert rep["results"]["constructions"]["failures"] == 1
+    assert rep["results"]["failures_detail"] == [
+        {"check": "constructions", "family": "tpp", "n": 15, "p": 29}
+    ]
+
+
+def test_verify_certifies_each_base_once(capsys, monkeypatch):
+    real = cli.contains_tree
+    calls = []
+
+    def counted(g, f):
+        calls.append(g.n)
+        return real(g, f)
+
+    monkeypatch.setattr(cli, "contains_tree", counted)
+    counts = {}
+    for span in ("n..3n", "n..6n"):
+        calls.clear()
+        code, rep = run_cli(capsys, "verify", "--n", "40..50", "--p", span)
+        assert code == 0 and rep["ok"] is True
+        counts[span] = len(calls)
+        # Only bases are searched: never more than 2n - 2 vertices.
+        assert max(calls) <= 2 * 50 - 2
+    assert counts["n..6n"] == counts["n..3n"]
+    assert counts["n..3n"] < rep["results"]["constructions"]["checked"]
+
+
 # ---------------------------------------------------------------------- table
 
 def test_table_frozen_rows(capsys):
@@ -406,10 +481,10 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["value"] == 127
-    jsonschema.validate(rep, SCHEMA)
+    REPORT_VALIDATOR.validate(rep)
 
 
 def test_error_reports_also_validate(capsys):
     code, rep = run_cli(capsys, "formula", "t3", "12", "20")
     assert code == 2
-    jsonschema.validate(rep, SCHEMA)
+    REPORT_VALIDATOR.validate(rep)

@@ -105,6 +105,21 @@ def test_circulant_is_regular(m, data):
     assert len(degs) <= 1, "circulant graphs are vertex-transitive, hence regular"
 
 
+def circulant_by_definition(m: int, offsets) -> SimpleGraph:
+    adj = [0] * m
+    for v in range(m):
+        for o in offsets:
+            adj[v] |= 1 << ((v + o) % m) | 1 << ((v - o) % m)
+    return SimpleGraph(m, adj)
+
+
+@given(st.integers(0, 40), st.integers(0, 2**20 - 1))
+@settings(max_examples=300)
+def test_circulant_rows_match_definition(m, subset):
+    offsets = [o for o in range(1, m // 2 + 1) if subset >> (o - 1) & 1]
+    assert SimpleGraph.circulant(m, offsets) == circulant_by_definition(m, offsets)
+
+
 @given(orders_and_seeds)
 @settings(max_examples=60)
 def test_handshake(params):
@@ -201,6 +216,48 @@ def test_graph6_round_trip_both_regimes(params):
     p, seed = params
     g = random_graph(random.Random(seed), p)
     assert from_graph6(to_graph6(g)) == g
+
+
+def graph6_per_bit(g: SimpleGraph) -> str:
+    """The graph6 encoding written out one bit at a time."""
+    n = g.n
+    head = [n + 63]
+    if n > 62:
+        head = [126, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)]
+    bits = [g.adj[v] >> u & 1 for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    body = [
+        63 + sum(bit << (5 - i) for i, bit in enumerate(bits[j : j + 6]))
+        for j in range(0, len(bits), 6)
+    ]
+    return bytes(head + body).decode("ascii")
+
+
+def graph6_body_per_bit(n: int, body: bytes) -> SimpleGraph:
+    """A graph6 body decoded one bit at a time."""
+    adj = [0] * n
+    idx = 0
+    for v in range(1, n):
+        for u in range(v):
+            if (body[idx // 6] - 63) >> (5 - idx % 6) & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            idx += 1
+    return SimpleGraph(n, adj)
+
+
+def test_graph6_codec_matches_per_bit_codec():
+    rng = random.Random(20141)
+    for p in [*range(0, 80), *range(80, 300, 17), 300]:
+        g = random_graph(rng, p)
+        text = to_graph6(g)
+        assert text == graph6_per_bit(g)
+        assert from_graph6(text) == g
+        # Any body, padding bits included, decodes as the per-bit reader does.
+        head = 1 if p <= 62 else 4
+        body = bytes(rng.randrange(63, 127) for _ in range(len(text) - head))
+        expected = graph6_body_per_bit(p, body)
+        assert from_graph6(text[:head] + body.decode("ascii")) == expected
 
 
 # ------------------------------------------------------------ edge-list codec
