@@ -487,9 +487,15 @@ _DISPATCH = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process; parsing leaves
+    it unchanged, so no value carries over from one call to the next."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report, code = _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:

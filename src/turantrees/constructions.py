@@ -279,10 +279,15 @@ def lemma47_construct(n: int) -> SimpleGraph:
 # ---------------------------------------------------------------- assembly
 
 def _prepend_blocks(base: SimpleGraph, blocks: int, n: int) -> SimpleGraph:
-    g = SimpleGraph.empty(0)
-    for _ in range(blocks):
-        g = g.disjoint_union(SimpleGraph.complete(n - 1))
-    return g.disjoint_union(base)
+    """``blocks`` complete blocks ``K_{n-1}`` at the lowest indices, then
+    ``base`` shifted above them, built row by row in one pass."""
+    shift = blocks * (n - 1)
+    adj = []
+    for start in range(0, shift, n - 1):
+        full = ((1 << (n - 1)) - 1) << start
+        adj += [full ^ (1 << v) for v in range(start, start + n - 1)]
+    adj += [row << shift for row in base.adj]
+    return SimpleGraph(shift + base.n, adj)
 
 
 # Remainder bases on ``n - 1 + r`` vertices, keyed by ``ResidueCase.base``,

@@ -3,7 +3,7 @@
 ``ex_bruteforce`` maximizes edges over all graphs on ``p`` labeled vertices
 that avoid a given tree, by depth-first search over the edge slots in
 lexicographic order (all slots at vertex 0 first), include-branch first.
-Three exact prunes keep it fast:
+Four exact prunes keep it fast:
 
 * **Incremental containment** -- the partial graph is kept avoider-safe at
   every step: an edge is included only if no embedding of the tree maps one
@@ -16,6 +16,19 @@ Three exact prunes keep it fast:
 * **Capacity bound** -- once vertex 0's degree ``c`` is final, no other
   vertex may exceed it, so at most ``sum(max(0, c - deg(v))) / 2`` more
   edges fit; branches that cannot beat the incumbent are cut.
+* **Prefix cut** (isomorph rejection in the sense of McKay, *Isomorph-free
+  exhaustive generation*, J. Algorithms 1998) -- at slot ``(u, v)`` two
+  vertices ``w, v > u`` are interchangeable when their decided neighbours
+  below ``u`` agree.  With ``w`` the nearest such vertex in ``u < w < v``,
+  ``(u, v)`` may be included only if ``(u, w)`` was, so ``u``'s neighbours
+  form a prefix of each class.  Let ``G`` be the first optimum in the
+  include-first order.  If ``G`` broke the rule at ``(u, w, v)``, swapping
+  ``w`` and ``v`` would give a tree-free host with the same edge count and
+  the same vertex-0 degree that agrees with ``G`` on every slot before
+  ``(u, w)`` and includes ``(u, w)``: an earlier optimum, a contradiction.
+  So the search finds the same value and the same witness.  Split runs
+  break ties by frontier order, which is the same include-first order, so
+  they agree.
 
 Budgets (node count and wall-clock) abort the search by exception; the
 result is then flagged ``exact=False`` and carries the incumbent as a lower
@@ -166,6 +179,16 @@ class _BruteForce:
 
         u, v = self.slots[i]
         allowed = u == 0 or (self.deg[u] < self.deg[0] and self.deg[v] < self.deg[0])
+        if allowed:
+            # Prefix cut: u may take v only if it took the nearest vertex
+            # between them with the same decided neighbours below u.
+            rows = self.rows
+            low = (1 << u) - 1
+            key = rows[v] & low
+            for w in range(v - 1, u, -1):
+                if rows[w] & low == key:
+                    allowed = rows[u] >> w & 1
+                    break
         if allowed:
             self.rows[u] |= 1 << v
             self.rows[v] |= 1 << u

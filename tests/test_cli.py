@@ -207,6 +207,21 @@ def test_oracle_no_formula_family(capsys, tmp_path):
     assert rep["exact"] is True
 
 
+def test_parser_defaults_do_not_carry_over(capsys):
+    # main builds its parser once; an option given in one call must not
+    # become the default of the next
+    assert cli.main(["--quiet", "oracle", "6", "path:4"]) == 0  # warm the parser
+    capsys.readouterr()
+    _, rep = run_cli(capsys, "oracle", "6", "path:4", "--threads", "2")
+    assert rep["threads"] == 2
+    _, rep = run_cli(capsys, "oracle", "6", "path:4")
+    assert rep["threads"] == 1
+    _, rep = run_cli(capsys, "verify", "--n", "15..15", "--p", "n", "--oracle")
+    assert rep["params"]["oracle"] is True and "oracle" in rep["results"]
+    _, rep = run_cli(capsys, "verify", "--n", "15..15", "--p", "n")
+    assert rep["params"]["oracle"] is False and "oracle" not in rep["results"]
+
+
 # --------------------------------------------------------------------- verify
 
 def test_verify_default_sweep_passes(capsys):

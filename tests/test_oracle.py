@@ -7,8 +7,8 @@ from math import comb
 import pytest
 
 from turantrees.containment import contains_tree
-from turantrees.formulas import ex_path, ex_star
-from turantrees.graphs import SimpleGraph
+from turantrees.formulas import ex_path, ex_star, extremal_value
+from turantrees.graphs import SimpleGraph, to_graph6
 from turantrees.oracle import (
     MAX_ORACLE_ORDER,
     OracleResult,
@@ -77,6 +77,24 @@ def test_host_order_bound():
     assert ex_bruteforce(50, path(60)).value == comb(50, 2)
 
 
+# Witnesses of the search without the prefix cut; the cut keeps the first
+# optimum in the include-first order, so they must not change.
+@pytest.mark.parametrize(
+    "p,f,value,g6",
+    [
+        (8, path(6), 13, "G}rEE?"),
+        (8, tppp(7), 16, "G~~w?C"),
+        (9, t3(7), 18, "H~~w?CB"),
+    ],
+    ids=["path6-p8", "tppp7-p8", "t3-7-p9"],
+)
+def test_frozen_witnesses(p, f, value, g6):
+    res = ex_bruteforce(p, f)
+    assert res.value == value
+    assert to_graph6(res.witness) == g6
+    check_result(res, p, f)
+
+
 # ----------------------------------------------- agreement with closed forms
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -95,10 +113,45 @@ def test_star_values_match_formula(s):
         check_result(res, p, star(s))
 
 
+# Upper-bound evidence at the real orders of the headline families: no host
+# on p vertices beats the closed form.
+@pytest.mark.parametrize(
+    "p,f,partial",
+    [(10, tpp(10), False), (10, t3(10), True), (9, path(6), False)],
+    ids=["tpp10", "t3-10-partial", "path6"],
+)
+def test_oracle_equals_formula_at_real_orders(p, f, partial):
+    res = ex_bruteforce(p, f)
+    assert res.value == extremal_value(f, p, partial=partial).value
+    check_result(res, p, f)
+
+
+def test_tppp7_at_p9_is_exact_within_budget():
+    res = ex_bruteforce(9, tppp(7), budget_nodes=100_000)
+    assert res.value == 18
+    check_result(res, 9, tppp(7))
+
+
 # ----------------------------------- agreement with the exhaustive reference
 
 @pytest.mark.parametrize(
-    "f", [t3(6), tpp(6), tppp(6), path(5), star(4)], ids=lambda f: f.kind
+    "f",
+    [
+        t3(6),  # spider with legs 2, 1, 1, 1
+        tpp(6),  # spider with legs 2, 2, 1
+        tppp(6),  # the 6-path
+        path(5),
+        star(4),
+        # with the three above, every tree on 6 vertices up to isomorphism
+        pytest.param(star(5), id="star5"),
+        pytest.param(
+            explicit_tree([(0, 1), (1, 2), (2, 3), (0, 4), (0, 5)]), id="spider311"
+        ),
+        pytest.param(
+            explicit_tree([(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]), id="double-star"
+        ),
+    ],
+    ids=lambda f: f.kind,
 )
 def test_p6_values_match_reference_scan(f):
     # independent ground truth: scan all 2^15 labeled hosts on 6 vertices
@@ -155,6 +208,7 @@ def test_parallel_value_matches_single_thread(threads):
         solo = ex_bruteforce(p, f)
         multi = ex_bruteforce(p, f, threads=threads)
         assert multi.value == solo.value, (p, f.kind, threads)
+        assert multi.witness == solo.witness, (p, f.kind, threads)
         assert multi.exact
         assert multi.witness.edge_count() == multi.value
         assert contains_tree(multi.witness, f) is None
