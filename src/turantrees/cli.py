@@ -50,7 +50,7 @@ from .formulas import (
     residue_case,
     upper_bound,
 )
-from .constructions import clique_union, extremal_graph
+from .constructions import block_rows, extremal_graph
 from .containment import contains_tree, verify_witness
 from .oracle import ex_bruteforce, verify_formula
 
@@ -168,6 +168,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
         "family_spec": spec_string(f),
         "value": res.value,
         "exact": res.exact,
+        "budget_reason": res.budget_reason,
         "nodes": res.nodes,
         "elapsed": round(res.elapsed, 6),
         "threads": res.threads,
@@ -186,12 +187,6 @@ _ORACLE_SUITE: list[tuple[str, list[int]]] = [
 ]
 
 
-@lru_cache(maxsize=256)
-def _block_rows(blocks: int, n: int) -> tuple[int, ...]:
-    """The rows of ``blocks >= 1`` disjoint complete blocks ``K_{n-1}``."""
-    return tuple(clique_union(blocks, n, 0).adj)
-
-
 def _base_rows(g: SimpleGraph, blocks: int, n: int) -> tuple[int, ...] | None:
     """The rows of the base of ``g``, shifted down to vertex 0, if the first
     ``blocks`` groups of ``n - 1`` vertices of ``g`` are complete blocks
@@ -203,7 +198,7 @@ def _base_rows(g: SimpleGraph, blocks: int, n: int) -> tuple[int, ...] | None:
     shift = blocks * (n - 1)
     if shift == 0:
         return tuple(g.adj)
-    if shift > g.n or tuple(g.adj[:shift]) != _block_rows(blocks, n):
+    if shift > g.n or tuple(g.adj[:shift]) != block_rows(blocks, n):
         return None
     rows = g.adj[shift:]
     if reduce(or_, rows, 0) & ((1 << shift) - 1):

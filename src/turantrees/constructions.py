@@ -17,12 +17,15 @@ Four building blocks appear:
 
 ``extremal_graph`` assembles the right base for a family and residue,
 prepends ``k - 1`` complete blocks at the lowest vertex indices, and asserts
-that the edge count equals the closed-form value.
+that the edge count equals the closed-form value.  Its bases and block rows
+come from small bounded caches and are copied into each new host; the public
+functions above return a fresh graph on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .graphs import SimpleGraph
@@ -31,6 +34,7 @@ from .formulas import MIN_N, decompose, extremal_value, residue_case
 
 __all__ = [
     "ConstructionRecipe",
+    "block_rows",
     "clique_union",
     "near_regular",
     "lemma46_even",
@@ -278,14 +282,22 @@ def lemma47_construct(n: int) -> SimpleGraph:
 
 # ---------------------------------------------------------------- assembly
 
+@lru_cache(maxsize=256)
+def block_rows(blocks: int, n: int) -> tuple[int, ...]:
+    """The adjacency rows of ``blocks`` disjoint complete blocks ``K_{n-1}``
+    on the lowest ``blocks * (n - 1)`` vertex indices."""
+    rows: list[int] = []
+    for start in range(0, blocks * (n - 1), n - 1):
+        full = ((1 << (n - 1)) - 1) << start
+        rows += [full ^ (1 << v) for v in range(start, start + n - 1)]
+    return tuple(rows)
+
+
 def _prepend_blocks(base: SimpleGraph, blocks: int, n: int) -> SimpleGraph:
     """``blocks`` complete blocks ``K_{n-1}`` at the lowest indices, then
-    ``base`` shifted above them, built row by row in one pass."""
+    ``base`` shifted above them, in a new row list."""
     shift = blocks * (n - 1)
-    adj = []
-    for start in range(0, shift, n - 1):
-        full = ((1 << (n - 1)) - 1) << start
-        adj += [full ^ (1 << v) for v in range(start, start + n - 1)]
+    adj = list(block_rows(blocks, n))
     adj += [row << shift for row in base.adj]
     return SimpleGraph(shift + base.n, adj)
 
@@ -300,6 +312,13 @@ _BASES = {
     ),
     "L4.7": lambda n, r: (lemma47_construct(n), f"L4.7-case{[4, 1, 2, 3][n % 4]}"),
 }
+
+
+@lru_cache(maxsize=64)
+def _base(use: str, n: int, r: int) -> tuple[SimpleGraph, str]:
+    """``_BASES[use](n, r)``, built once per key.  Callers only read the
+    base: ``_prepend_blocks`` copies its rows into a new host."""
+    return _BASES[use](n, r)
 
 
 def extremal_graph(
@@ -342,7 +361,7 @@ def extremal_graph(
         case = residue_case(kind, n, d.r)
         if case.bonus(n, d.r) > 0 or (connected and case.has_connected(n)):
             use = case.base
-    base, label = _BASES[use](n, d.r)
+    base, label = _base(use, n, d.r)
     g = _prepend_blocks(base, d.k - 1, n)
     recipe = ConstructionRecipe(kind, n, p, label, d.k - 1, n - 1 + d.r, g.edge_count())
     assert recipe.edges == extremal_value(f, p).value, (

@@ -3,11 +3,14 @@
 Two engines, one answer:
 
 * ``contains_tree`` sends every tree whose internal vertices induce a star
-  (the three spider families among them) to a *skeleton* search: place the
-  internal star (center plus branch vertices) by direct enumeration, then
-  decide leaf placement exactly with an augmenting-path matching between
-  the interchangeable leaf classes and the free host neighbours, which also
-  yields the concrete assignment.  Other trees use the generic engine.
+  (the three spider families among them) to a *skeleton* search: keep only
+  the hubs that pass three exact filters (the centre's degree, a component
+  of at least ``n`` vertices, and at least ``n - 1`` other vertices within
+  distance 2), place the internal star (center plus branch vertices) by
+  direct enumeration, then decide leaf placement exactly with an
+  augmenting-path matching between the interchangeable leaf classes and the
+  free host neighbours, which also yields the concrete assignment.  Other
+  trees use the generic engine.
 
 * ``generic_backtrack`` embeds an arbitrary tree by backtracking over a BFS
   order rooted at a maximum-degree vertex, with degree pruning and an
@@ -181,22 +184,33 @@ def _skeleton_search(
     g: SimpleGraph, t: SimpleGraph, sk: StarSkeleton
 ) -> tuple[int, ...] | None:
     n = t.n
-    p = g.n
-    hdeg = [g.degree(v) for v in range(p)]
-    tdeg = [t.degree(v) for v in range(n)]
+    adj = g.adj
+    hdeg = list(map(int.bit_count, adj))
 
-    # A connected tree embeds inside one component.
-    comp_size = [0] * p
+    # Hub filters, cheapest first, each exact.  The centre's image needs the
+    # centre's degree.
+    center_need = t.degree(sk.center)
+    hubs = [v for v, d in enumerate(hdeg) if d >= center_need]
+    if not hubs:
+        return None
+    # A connected tree embeds inside one component of at least n vertices.
+    # The 2-ball test below implies this one, but one pass over the
+    # components drops every hub of the small ones (blocks K_{n-1}) at once.
+    big = 0
     for mask in g.component_masks():
-        size = mask.bit_count()
-        for v in iter_bits(mask):
-            comp_size[v] = size
-
-    center_need = tdeg[sk.center]
-    w0_cands = sorted(
-        (v for v in range(p) if hdeg[v] >= center_need and comp_size[v] >= n),
-        key=lambda v: (-hdeg[v], v),
-    )
+        if mask.bit_count() >= n:
+            big |= mask
+    # Every tree vertex lies within distance 2 of the centre, so the other
+    # n - 1 images lie in the hub's 2-ball.
+    w0_cands = []
+    for v in hubs:
+        if big >> v & 1:
+            ball = adj[v]
+            for w in iter_bits(adj[v]):
+                ball |= adj[w]
+            if (ball & ~(1 << v)).bit_count() >= n - 1:
+                w0_cands.append(v)
+    w0_cands.sort(key=lambda v: (-hdeg[v], v))
 
     # Group branches by leaf demand: equal-demand branches are
     # interchangeable, so host images are tried in ascending order only.

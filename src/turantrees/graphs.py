@@ -122,13 +122,13 @@ class SimpleGraph:
 
     def degree_sequence(self) -> tuple[int, ...]:
         """All vertex degrees, sorted in non-increasing order."""
-        return tuple(sorted((row.bit_count() for row in self.adj), reverse=True))
+        return tuple(sorted(map(int.bit_count, self.adj), reverse=True))
 
     def max_degree(self) -> int:
-        return max((row.bit_count() for row in self.adj), default=0)
+        return max(map(int.bit_count, self.adj), default=0)
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def neighbors(self, v: int) -> Iterator[int]:
         return iter_bits(self.adj[v])

@@ -75,7 +75,9 @@ class BudgetExceeded(Exception):
 @dataclass(frozen=True, slots=True)
 class OracleResult:
     """Outcome of a brute-force run.  ``exact=False`` means a budget was hit
-    and ``value`` is only a lower bound."""
+    and ``value`` is only a lower bound; ``budget_reason`` then names the
+    budget ("node budget exhausted" or "time budget exhausted"), and is
+    None for an exact run."""
 
     p: int
     value: int
@@ -84,6 +86,7 @@ class OracleResult:
     nodes: int
     elapsed: float
     threads: int
+    budget_reason: str | None
 
 
 def _resolve_budget_nodes(budget_nodes: int | None) -> int:
@@ -210,43 +213,52 @@ class _BruteForce:
         self.dfs(i + 1)
 
 
-def _worker_run(args: tuple) -> tuple[int, list[int] | None, int, int, bool]:
+def _search(bf: _BruteForce, start_slot: int) -> str | None:
+    """Run ``bf`` from ``start_slot``; the budget message if one ran out."""
+    try:
+        bf.dfs(start_slot)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return None
+
+
+def _worker_run(args: tuple) -> tuple[int, list[int] | None, int, int, str | None]:
     """Run the search below a batch of frontier states (child process)."""
     p, tree_edges, states, start_slot, budget_nodes, deadline = args
     t = SimpleGraph.from_edges(max(max(e) for e in tree_edges) + 1, tree_edges)
     contexts = edge_anchored_contexts(t)
     bf = _BruteForce(p, contexts, t.n, budget_nodes, deadline)
-    exact = True
+    reason = None
     for tag, (rows, deg, m) in states:
         bf.tag = tag
         bf.load(rows, deg, m)
-        try:
-            bf.dfs(start_slot)
-        except BudgetExceeded:
-            exact = False
+        reason = _search(bf, start_slot)
+        if reason is not None:
             break
-    return bf.best, bf.best_rows, bf.nodes, bf.best_tag, exact
+    return bf.best, bf.best_rows, bf.nodes, bf.best_tag, reason
 
 
 def _result(
     p: int,
     best: int,
     rows: list[int] | None,
-    exact: bool,
+    reason: str | None,
     nodes: int,
     started: float,
     threads: int,
 ) -> OracleResult:
     """The outcome of a search whose incumbent is ``best`` with adjacency
-    ``rows`` (the empty host when nothing was found)."""
+    ``rows`` (the empty host when nothing was found); ``reason`` is the
+    message of the budget that ran out, or None for an exact search."""
     return OracleResult(
         p=p,
         value=max(best, 0),
-        exact=exact,
+        exact=reason is None,
         witness=SimpleGraph(p, list(rows) if rows is not None else [0] * p),
         nodes=nodes,
         elapsed=time.monotonic() - started,
         threads=threads,
+        budget_reason=reason,
     )
 
 
@@ -278,7 +290,7 @@ def ex_bruteforce(
 
     started = time.monotonic()
     if t.n > p:
-        return _result(p, comb(p, 2), SimpleGraph.complete(p).adj, True, 0, started, threads)
+        return _result(p, comb(p, 2), SimpleGraph.complete(p).adj, None, 0, started, threads)
 
     if p > MAX_ORACLE_ORDER:
         raise ValueError(
@@ -292,12 +304,8 @@ def ex_bruteforce(
 
     if threads == 1:
         bf = _BruteForce(p, contexts, t.n, nodes_budget, deadline)
-        exact = True
-        try:
-            bf.dfs(0)
-        except BudgetExceeded:
-            exact = False
-        return _result(p, bf.best, bf.best_rows, exact, bf.nodes, started, 1)
+        reason = _search(bf, 0)
+        return _result(p, bf.best, bf.best_rows, reason, bf.nodes, started, 1)
 
     # Parallel: enumerate a deterministic frontier, then fan out.
     n_slots = p * (p - 1) // 2
@@ -305,16 +313,12 @@ def ex_bruteforce(
     gen = _BruteForce(p, contexts, t.n, nodes_budget, deadline)
     gen.stop = depth
     gen.collect = []
-    gen_exact = True
-    try:
-        gen.dfs(0)
-    except BudgetExceeded:
-        gen_exact = False
-    if not gen_exact or depth == n_slots:
+    gen_reason = _search(gen, 0)
+    if gen_reason is not None or depth == n_slots:
         # Tiny instance (the frontier depth covers every slot, so the
         # generator already exhausted the space) or the budget died during
         # frontier generation: the generator's incumbent is the result.
-        return _result(p, gen.best, gen.best_rows, gen_exact, gen.nodes, started, threads)
+        return _result(p, gen.best, gen.best_rows, gen_reason, gen.nodes, started, threads)
     states = [(tag, st) for tag, st in enumerate(gen.collect)]
 
     batches: list[list] = [[] for _ in range(threads)]
@@ -334,13 +338,13 @@ def ex_bruteforce(
 
     best, best_rows, best_tag = -1, None, -1
     total_nodes = gen.nodes
-    exact = True
-    for w_best, w_rows, w_nodes, w_tag, w_exact in results:
+    reason = None
+    for w_best, w_rows, w_nodes, w_tag, w_reason in results:
         total_nodes += w_nodes
-        exact = exact and w_exact
+        reason = reason or w_reason
         if w_best > best or (w_best == best and 0 <= w_tag < best_tag):
             best, best_rows, best_tag = w_best, w_rows, w_tag
-    return _result(p, best, best_rows, exact, total_nodes, started, threads)
+    return _result(p, best, best_rows, reason, total_nodes, started, threads)
 
 
 def verify_formula(
@@ -372,6 +376,7 @@ def verify_formula(
                 "formula": formula,
                 "equal": equal,
                 "exact": res.exact,
+                "budget_reason": res.budget_reason,
                 "nodes": res.nodes,
             }
         )

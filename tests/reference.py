@@ -11,6 +11,10 @@ Contents:
 * ``embeds_pruned``          -- the same decision with edge-consistent
                                 pruning, for hosts too big to enumerate
                                 all injections over.
+* ``image_masks`` / ``masks_contain`` -- the same decision for many hosts on
+                                one vertex set: every injection's image as a
+                                host bitmask, enumerated once, then a subset
+                                test per host.
 * ``exhaustive_ex``          -- ex(p;T) by scanning every labeled host.
 * ``random_host_edges`` / ``random_tree_edges`` -- randomized instances.
 * ``SMALL_TREES``            -- every tree on at most 5 vertices, one
@@ -29,7 +33,9 @@ __all__ = [
     "edges_of_mask",
     "embeds_pruned",
     "exhaustive_ex",
+    "image_masks",
     "injection_contains",
+    "masks_contain",
     "mask_of_edges",
     "pair_slots",
     "random_host_edges",
@@ -135,17 +141,36 @@ def all_masks(p: int):
     return range(1 << (p * (p - 1) // 2))
 
 
+def image_masks(p: int, tree_n: int, tree_edges) -> tuple[int, ...]:
+    """The distinct images of the tree under every injection of its vertices
+    into ``range(p)``, each as a host bitmask in ``pair_slots(p)`` order."""
+    index = {pair: i for i, pair in enumerate(pair_slots(p))}
+    masks = set()
+    for image in itertools.permutations(range(p), tree_n):
+        mask = 0
+        for a, b in tree_edges:
+            x, y = image[a], image[b]
+            mask |= 1 << index[(min(x, y), max(x, y))]
+        masks.add(mask)
+    return tuple(sorted(masks))
+
+
+def masks_contain(masks, host_mask: int) -> bool:
+    """Does the host with bitmask ``host_mask`` hold one of the images
+    ``masks`` (from ``image_masks`` on the same vertex count)?"""
+    return any(mask & host_mask == mask for mask in masks)
+
+
 def exhaustive_ex(p: int, tree_n: int, tree_edges) -> int:
     """ex(p;T) by scanning all labeled hosts on p vertices.  Exact for
-    p <= 6 in reasonable time; the containment subroutine is the pruned
-    reference embedder (itself cross-checked against injection_contains)."""
+    p <= 6 in reasonable time; containment is the subset test against the
+    tree's image masks (cross-checked against injection_contains)."""
+    masks = image_masks(p, tree_n, tree_edges)
     best = 0
     for mask in all_masks(p):
-        if bin(mask).count("1") <= best:
-            continue
-        edges = edges_of_mask(p, mask)
-        if not embeds_pruned(p, edges, tree_n, tree_edges):
-            best = len(edges)
+        edges = bin(mask).count("1")
+        if edges > best and not masks_contain(masks, mask):
+            best = edges
     return best
 
 

@@ -199,11 +199,15 @@ def test_criterion_08_containment_vs_all_injections():
 
     for p in range(0, 7):
         slots = R.pair_slots(p)
+        images = [
+            (tn, R.image_masks(p, tn, te), fam)
+            for (tn, te), fam in zip(R.SMALL_TREES, SMALL_TREE_FAMILIES)
+        ]
         for mask in R.all_masks(p):
             edges = [slots[i] for i in range(len(slots)) if (mask >> i) & 1]
             g = SimpleGraph.from_edges(p, edges)
-            for (tn, te), fam in zip(R.SMALL_TREES, SMALL_TREE_FAMILIES):
-                expected = R.injection_contains(p, edges, tn, te)
+            for tn, masks, fam in images:
+                expected = R.masks_contain(masks, mask)
                 got = contains_tree(g, fam)
                 assert (got is not None) == expected, (p, mask, fam.kind, tn)
                 if got is not None:

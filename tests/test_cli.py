@@ -198,6 +198,21 @@ def test_oracle_budget_exhaustion_exits_1(capsys):
     assert rep["ok"] is False
 
 
+def test_budget_reason_in_oracle_reports(capsys, monkeypatch):
+    _, rep = run_cli(capsys, "oracle", "7", "path:4")
+    assert rep["exact"] is True and rep["budget_reason"] is None
+    monkeypatch.setenv("TURAN_BUDGET_NODES", "60")
+    code, rep = run_cli(capsys, "oracle", "8", "path:4")
+    assert code == 1 and rep["exact"] is False
+    assert rep["budget_reason"] == "node budget exhausted"
+    code, rep = run_cli(capsys, "verify", "--n", "15..15", "--p", "n", "--oracle")
+    rows = rep["results"]["oracle"]["rows"]
+    assert code == 1
+    assert any(not row["exact"] for row in rows) and any(row["exact"] for row in rows)
+    for row in rows:
+        assert row["budget_reason"] == (None if row["exact"] else "node budget exhausted")
+
+
 def test_oracle_no_formula_family(capsys, tmp_path):
     tree_file = tmp_path / "fork.edges"
     tree_file.write_text("0 1\n1 2\n2 3\n1 4\n")

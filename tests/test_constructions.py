@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turantrees import constructions
 from turantrees.constructions import (
     clique_union,
     extremal_graph,
@@ -317,3 +318,35 @@ def test_extremal_graph_domains():
         extremal_graph(explicit_tree([(0, 1)]), 5)
     with pytest.raises(ValueError, match="p >= s\\+1"):
         extremal_graph(star(4), 4)
+
+
+# ---------------------------------------------------------------- base cache
+
+def _uncached(monkeypatch, f, p, **variant):
+    """``extremal_graph`` with every base built afresh from ``_BASES``."""
+    with monkeypatch.context() as m:
+        m.setattr(constructions, "_base", lambda use, n, r: constructions._BASES[use](n, r))
+        return extremal_graph(f, p, **variant)
+
+
+def test_extremal_graph_hosts_do_not_share_rows(monkeypatch):
+    # changing a returned host must not change the next one
+    for f, p in ((t3(28), 2 * 28 - 9), (t3(28), 3 * 28), (tpp(20), 25), (tppp(15), 44)):
+        g, _ = extremal_graph(f, p)
+        g.adj[:] = [row ^ 1 for row in g.adj]
+        again, recipe = extremal_graph(f, p)
+        fresh, fresh_recipe = _uncached(monkeypatch, f, p)
+        assert again == fresh and recipe == fresh_recipe
+    assert near_regular(20, 10).adj is not near_regular(20, 10).adj
+    assert clique_union(2, 15, 3).adj is not clique_union(2, 15, 3).adj
+
+
+@pytest.mark.parametrize("maker", [t3, tpp, tppp])
+def test_extremal_graph_cache_matches_fresh_builds(maker, monkeypatch):
+    for n in (15, 26, 27, 37, 41, 50):
+        f = maker(n)
+        for p in range(n, 3 * n + 1):
+            for variant in ({}, {"connected": True}):
+                g, recipe = extremal_graph(f, p, **variant)
+                fresh, fresh_recipe = _uncached(monkeypatch, f, p, **variant)
+                assert g.adj == fresh.adj and recipe == fresh_recipe, (n, p, variant)

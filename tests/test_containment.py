@@ -12,15 +12,17 @@ from hypothesis import strategies as st
 
 from turantrees.constructions import clique_union, lemma46_even, near_regular
 from turantrees.constructions import extremal_graph
+from turantrees import containment
 from turantrees.containment import (
     MAX_GENERIC_ORDER,
+    build_star_skeleton,
     contains_through_edge,
     contains_tree,
     edge_anchored_contexts,
     generic_backtrack,
     verify_witness,
 )
-from turantrees.graphs import SimpleGraph
+from turantrees.graphs import SimpleGraph, iter_bits
 from turantrees.trees import explicit_tree, path, realize, star, t3, tpp, tppp
 
 import reference as R
@@ -57,6 +59,31 @@ def test_reference_embedders_agree_randomized(seed):
     te = R.random_tree_edges(rng, tn)
     he = R.random_host_edges(rng, p, rng.random())
     assert R.injection_contains(p, he, tn, te) == R.embeds_pruned(p, he, tn, te)
+
+
+def test_reference_image_masks_agree_with_injections():
+    # the image-mask helper certifies the exhaustive small-host tests, so it
+    # must first agree with the all-injections enumeration on every host
+    for p in range(0, 6):
+        for tn, te in R.SMALL_TREES:
+            masks = R.image_masks(p, tn, te)
+            for mask in R.all_masks(p):
+                edges = R.edges_of_mask(p, mask)
+                assert R.masks_contain(masks, mask) == R.injection_contains(
+                    p, edges, tn, te
+                ), (p, mask, tn, te)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_reference_image_masks_agree_randomized(seed):
+    rng = random.Random(seed)
+    p = rng.randrange(1, 8)
+    tn = rng.randrange(1, min(p, 6) + 1)
+    te = R.random_tree_edges(rng, tn)
+    he = R.random_host_edges(rng, p, rng.random())
+    got = R.masks_contain(R.image_masks(p, tn, te), R.mask_of_edges(p, he))
+    assert got == R.embeds_pruned(p, he, tn, te)
 
 
 # ------------------------------------------------------------ frozen examples
@@ -170,11 +197,12 @@ def test_exhaustive_family_trees_on_all_small_hosts():
     tree_edges = [(f, list(t.edges()), t.n) for f, t in trees]
     for p in range(0, 7):
         slots = R.pair_slots(p)
+        images = [(f, R.image_masks(p, tn, te)) for f, te, tn in tree_edges]
         for mask in R.all_masks(p):
             edges = [slots[i] for i in range(len(slots)) if (mask >> i) & 1]
             g = host_from_edges(p, edges)
-            for f, te, tn in tree_edges:
-                expected = R.embeds_pruned(p, edges, tn, te)
+            for f, masks in images:
+                expected = R.masks_contain(masks, mask)
                 got = contains_tree(g, f)
                 assert (got is not None) == expected, (p, mask, f.kind)
                 if got is not None:
@@ -345,6 +373,59 @@ def test_large_sparse_host_fast_rejection():
     start = time.monotonic()
     assert contains_tree(g, t3(15)) is None
     assert time.monotonic() - start < 1.0
+
+
+def adversarial_host(n: int) -> SimpleGraph:
+    """``K_{n-3}`` plus a 3-vertex tail on vertex 0: every clique vertex has
+    the centre's degree, but none has ``n - 1`` others within distance 2."""
+    k = n - 3
+    edges = list(itertools.combinations(range(k), 2))
+    edges += [(0, k), (k, k + 1), (k + 1, k + 2)]
+    return host_from_edges(n, edges)
+
+
+def test_adversarial_hosts_rejected_before_any_branch_pick(monkeypatch):
+    placements = []
+    place = containment._place_leaves
+    monkeypatch.setattr(
+        containment,
+        "_place_leaves",
+        lambda masks, demands: placements.append(1) or place(masks, demands),
+    )
+    for n in range(15, 81):
+        g = adversarial_host(n)
+        for maker in FAMILY_MAKERS:
+            t = realize(maker(n))
+            assert g.max_degree() >= t.degree(build_star_skeleton(t).center)
+            assert contains_tree(g, maker(n)) is None, (maker.__name__, n)
+            assert not placements, (maker.__name__, n)
+    start = time.monotonic()
+    assert contains_tree(adversarial_host(60), tppp(60)) is None
+    assert time.monotonic() - start < 0.5
+
+
+@pytest.mark.parametrize("n", [15, 30])
+@pytest.mark.parametrize("maker", FAMILY_MAKERS)
+def test_hosts_with_a_tight_two_ball_still_embed(maker, n):
+    # the tree itself, and the tree with a path hanging off a leaf at
+    # distance 2, relabelled: the centre's image has exactly n - 1 other
+    # vertices within distance 2
+    rng = random.Random(f"tight-{maker.__name__}-{n}")
+    t = realize(maker(n))
+    sk = build_star_skeleton(t)
+    far = sk.branch_leaves[0][0]
+    tailed = list(t.edges()) + [(far, n), (n, n + 1), (n + 1, n + 2)]
+    for g in (t, host_from_edges(n + 3, tailed)):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = g.relabeled(perm)
+        w = contains_tree(g, maker(n))
+        assert w is not None and verify_witness(g, t, w)
+        hub = w[sk.center]
+        ball = g.adj[hub]
+        for v in iter_bits(g.adj[hub]):
+            ball |= g.adj[v]
+        assert (ball & ~(1 << hub)).bit_count() == n - 1
 
 
 # ------------------------------------------------------------------ odd trees

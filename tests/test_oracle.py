@@ -191,6 +191,18 @@ def test_time_budget_flags_inexact():
     assert not res.exact
 
 
+def test_budget_reason_names_the_budget(monkeypatch):
+    assert ex_bruteforce(7, path(4)).budget_reason is None
+    assert ex_bruteforce(4, path(5)).budget_reason is None  # tree larger than host
+    res = ex_bruteforce(9, path(5), budget_seconds=1e-4)
+    assert res.budget_reason == "time budget exhausted"
+    monkeypatch.setenv("TURAN_BUDGET_NODES", "60")
+    for threads in (1, 2):
+        res = ex_bruteforce(8, path(4), threads=threads)
+        assert not res.exact
+        assert res.budget_reason == "node budget exhausted", threads
+
+
 # -------------------------------------------------------------- determinism
 
 def test_single_thread_runs_are_identical():
