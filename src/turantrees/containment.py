@@ -1,16 +1,18 @@
 """Exact tree-containment checking with explicit embedding witnesses.
 
-Two engines, one answer:
+Two engines, one answer.  Both try the same hubs (``_hubs``) as images of
+the tree's first vertex (the skeleton's centre, or the generic root): the
+host vertices with at least its degree in a component of at least ``n``
+vertices, by descending degree, then index.  Everything that depends only
+on the tree is prepared once per tree.
 
 * ``contains_tree`` sends every tree whose internal vertices induce a star
-  (the three spider families among them) to a *skeleton* search: keep only
-  the hubs that pass three exact filters (the centre's degree, a component
-  of at least ``n`` vertices, and at least ``n - 1`` other vertices within
-  distance 2), place the internal star (center plus branch vertices) by
-  direct enumeration, then decide leaf placement exactly with an
-  augmenting-path matching between the interchangeable leaf classes and the
-  free host neighbours, which also yields the concrete assignment.  Other
-  trees use the generic engine.
+  (the three spider families among them) to a *skeleton* search: skip each
+  hub with fewer than ``n - 1`` other vertices within distance 2, place the
+  internal star (center plus branch vertices) by direct enumeration, then
+  decide leaf placement exactly with an augmenting-path matching between
+  the interchangeable leaf classes and the free host neighbours, which also
+  yields the concrete assignment.  Other trees use the generic engine.
 
 * ``generic_backtrack`` embeds an arbitrary tree by backtracking over a BFS
   order rooted at a maximum-degree vertex, with degree pruning and an
@@ -18,9 +20,7 @@ Two engines, one answer:
   are interchangeable, so only sorted images need be tried).
 
 Both return a witness tuple ``w`` with ``w[i]`` = host vertex for tree vertex
-``i``, or ``None`` when no embedding exists.  Because a tree is connected,
-every embedding lives inside a single host component; root candidates are
-filtered by component size accordingly.
+``i``, or ``None`` when no embedding exists.
 
 The module also exposes the engine hook the brute-force oracle needs: an
 anchored check for embeddings that use one prescribed host edge.
@@ -28,9 +28,9 @@ anchored check for embeddings that use one prescribed host edge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 from .graphs import SimpleGraph, iter_bits
 from .trees import TreeFamily, realize
@@ -58,61 +58,48 @@ class StarSkeleton:
     """Internal structure of a tree whose internal vertices induce a star.
 
     ``center`` is the star's middle; ``branches`` are the other internal
-    vertices (each adjacent to ``center`` only); every other tree vertex is a
-    leaf hanging off ``center`` or one branch.
+    vertices (each adjacent to ``center`` only), most leaves first; every
+    other tree vertex is a leaf hanging off ``center`` or one branch.
     """
 
     center: int
     branches: tuple[int, ...]
     center_leaves: tuple[int, ...]
     branch_leaves: tuple[tuple[int, ...], ...]
+    # The leaf count of the centre and of each branch, and (leaf count,
+    # branch count) for each run of equal-count branches: fixed per tree.
+    _demands: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        demands = tuple(map(len, (self.center_leaves, *self.branch_leaves)))
+        runs = tuple((d, len(list(run))) for d, run in groupby(demands[1:]))
+        object.__setattr__(self, "_demands", demands)
+        object.__setattr__(self, "_runs", runs)
 
 
 def build_star_skeleton(t: SimpleGraph) -> StarSkeleton | None:
-    """Decompose ``t`` if its internal vertices induce a star, else None."""
-    n = t.n
-    if n < 3:
-        return None
-    deg = [t.degree(v) for v in range(n)]
-    internal = [v for v in range(n) if deg[v] >= 2]
+    """Decompose the tree ``t`` if its internal vertices induce a star, else
+    None.  The centre is the internal vertex with the most internal
+    neighbours, then the highest degree, then the lowest index."""
+    adj = t.adj
+    deg = list(map(int.bit_count, adj))
+    internal = sum(1 << v for v, d in enumerate(deg) if d >= 2)
     if not internal:
         return None
-    internal_set = set(internal)
-    if len(internal) == 1:
-        center = internal[0]
-        branches: tuple[int, ...] = ()
-    else:
-        idegs = {
-            v: sum(1 for w in t.neighbors(v) if w in internal_set) for v in internal
-        }
-        centers = [v for v in internal if idegs[v] == len(internal) - 1]
-        if not centers or any(
-            idegs[v] != 1 for v in internal if v not in centers
-        ):
-            return None
-        if len(internal) == 2:
-            # Both qualify; pick the heavier-demand side (more leaves).
-            a, b = internal
-            center = a if deg[a] >= deg[b] else b
-        else:
-            center = centers[0]
-        branches = tuple(v for v in internal if v != center)
-
-    leaves_of = lambda v: tuple(w for w in t.neighbors(v) if deg[w] == 1)
-    sk = StarSkeleton(
-        center=center,
-        branches=branches,
-        center_leaves=leaves_of(center),
-        branch_leaves=tuple(leaves_of(b) for b in branches),
+    center = max(
+        iter_bits(internal), key=lambda v: ((adj[v] & internal).bit_count(), deg[v], -v)
     )
-    covered = 1 + len(sk.branches) + len(sk.center_leaves)
-    covered += sum(len(ls) for ls in sk.branch_leaves)
-    if covered != n:
-        return None  # some leaf hangs off a leaf-of-internal chain; not a star
-    return sk
+    # A tree has no triangles, so the branches are adjacent to nothing else
+    # internal, and every leaf hangs off the centre or a branch.
+    if internal & ~adj[center] != 1 << center:
+        return None
+    branches = tuple(sorted(iter_bits(internal ^ 1 << center), key=lambda b: -deg[b]))
+    leaves_of = lambda v: tuple(iter_bits(adj[v] & ~internal))
+    return StarSkeleton(center, branches, leaves_of(center), tuple(map(leaves_of, branches)))
 
 
-def _place_leaves(masks: list[int], demands: list[int]) -> list[int] | None:
+def _place_leaves(masks: list[int], demands: tuple[int, ...]) -> list[int] | None:
     """Give each demand class ``c`` ``demands[c]`` distinct hosts from
     ``masks[c]``; returns the host mask each class gets, or None.
 
@@ -180,89 +167,65 @@ def _place_leaves(masks: list[int], demands: list[int]) -> list[int] | None:
     return got
 
 
+def _hubs(g: SimpleGraph, n: int, need: int) -> tuple[list[int], list[int]]:
+    """The host degrees, and the host vertices that may take a tree vertex of
+    degree ``need`` in an embedding of an ``n``-vertex tree, best first.
+
+    A hub needs degree ``need`` and, since a tree is connected, a component
+    of at least ``n`` vertices.  Hubs are ordered by (-degree, index).  One
+    pass over the components drops every hub of the small ones (blocks
+    ``K_{n-1}``) at once; it is skipped when no vertex has the degree.
+    """
+    hdeg = list(map(int.bit_count, g.adj))
+    hubs = [v for v, d in enumerate(hdeg) if d >= need]
+    if hubs:
+        big = 0
+        for mask in g.component_masks():
+            if mask.bit_count() >= n:
+                big |= mask
+        hubs = [v for v in hubs if big >> v & 1]
+        hubs.sort(key=lambda v: (-hdeg[v], v))
+    return hdeg, hubs
+
+
 def _skeleton_search(
     g: SimpleGraph, t: SimpleGraph, sk: StarSkeleton
 ) -> tuple[int, ...] | None:
     n = t.n
     adj = g.adj
-    hdeg = list(map(int.bit_count, adj))
-
-    # Hub filters, cheapest first, each exact.  The centre's image needs the
-    # centre's degree.
-    center_need = t.degree(sk.center)
-    hubs = [v for v, d in enumerate(hdeg) if d >= center_need]
-    if not hubs:
-        return None
-    # A connected tree embeds inside one component of at least n vertices.
-    # The 2-ball test below implies this one, but one pass over the
-    # components drops every hub of the small ones (blocks K_{n-1}) at once.
-    big = 0
-    for mask in g.component_masks():
-        if mask.bit_count() >= n:
-            big |= mask
-    # Every tree vertex lies within distance 2 of the centre, so the other
-    # n - 1 images lie in the hub's 2-ball.
-    w0_cands = []
-    for v in hubs:
-        if big >> v & 1:
-            ball = adj[v]
-            for w in iter_bits(adj[v]):
-                ball |= adj[w]
-            if (ball & ~(1 << v)).bit_count() >= n - 1:
-                w0_cands.append(v)
-    w0_cands.sort(key=lambda v: (-hdeg[v], v))
-
-    # Group branches by leaf demand: equal-demand branches are
-    # interchangeable, so host images are tried in ascending order only.
-    demands = sorted(
-        {len(ls) for ls in sk.branch_leaves}, reverse=True
-    )
-    groups = [
-        [b for b, ls in zip(sk.branches, sk.branch_leaves) if len(ls) == d]
-        for d in demands
-    ]
-
-    for w0 in w0_cands:
-        row0 = g.adj[w0]
-        group_cands = [
-            [w for w in iter_bits(row0) if hdeg[w] >= d + 1]
-            for d in demands
-        ]
-        if any(len(c) < len(grp) for c, grp in zip(group_cands, groups)):
+    hdeg, hubs = _hubs(g, n, t.degree(sk.center))
+    for w0 in hubs:
+        # Every tree vertex lies within distance 2 of the centre, so the
+        # other n - 1 images lie in the hub's 2-ball.
+        row0 = adj[w0]
+        ball = row0
+        for w in iter_bits(row0):
+            ball |= adj[w]
+        if (ball & ~(1 << w0)).bit_count() < n - 1:
             continue
-        for picks in product(
-            *(combinations(c, len(grp)) for c, grp in zip(group_cands, groups))
-        ):
+        # Equal-demand branches are interchangeable, so each run of them
+        # takes its host images in ascending order only.
+        cands = [[w for w in iter_bits(row0) if hdeg[w] > d] for d, _ in sk._runs]
+        if any(len(c) < k for c, (_, k) in zip(cands, sk._runs)):
+            continue
+        for picks in product(*(combinations(c, k) for c, (_, k) in zip(cands, sk._runs))):
             flat = [w for pick in picks for w in pick]
             used = 1 << w0
-            ok = True
             for w in flat:
-                if used >> w & 1:
-                    ok = False
-                    break
                 used |= 1 << w
-            if not ok:
-                continue
-
+            if used.bit_count() <= len(flat):
+                continue  # two runs picked the same host
             # One demand class per internal vertex: its leaves share the free
             # neighbourhood of its image.
-            masks = [row0 & ~used]
-            leaf_classes = [sk.center_leaves]
-            branch_order: list[tuple[int, int]] = []
-            for pick, grp in zip(picks, groups):
-                for b, w in zip(grp, pick):
-                    masks.append(g.adj[w] & ~used)
-                    leaf_classes.append(sk.branch_leaves[sk.branches.index(b)])
-                    branch_order.append((b, w))
-            got = _place_leaves(masks, [len(ls) for ls in leaf_classes])
+            masks = [row0 & ~used, *(adj[w] & ~used for w in flat)]
+            got = _place_leaves(masks, sk._demands)
             if got is None:
                 continue
-
             witness = [-1] * n
             witness[sk.center] = w0
-            for b, w in branch_order:
+            for b, w in zip(sk.branches, flat):
                 witness[b] = w
-            for leaves, hosts in zip(leaf_classes, got):
+            for leaves, hosts in zip((sk.center_leaves, *sk.branch_leaves), got):
                 for leaf, h in zip(leaves, iter_bits(hosts)):
                     witness[leaf] = h
             return tuple(witness)
@@ -276,16 +239,15 @@ class TreeEmbedContext:
     """A tree prepared for backtracking from a fixed enumeration order.
 
     ``order[i]`` is the tree vertex placed at step ``i``; for ``i`` past the
-    pinned prefix, ``parent_pos[i]`` points at the earlier step holding its
-    unique already-placed neighbour.  ``monotone[i]`` marks steps whose tree
-    vertex is a leaf sibling of the previous step's (images must ascend).
+    seeds, ``parent_pos[i]`` points at the earlier step holding its unique
+    already-placed neighbour.  ``monotone[i]`` marks steps whose tree vertex
+    is a leaf sibling of the previous step's (images must ascend).
     """
 
     tdeg: tuple[int, ...]
     order: tuple[int, ...]
     parent_pos: tuple[int, ...]
     monotone: tuple[bool, ...]
-    pinned: int
 
 
 def _prepare_context(t: SimpleGraph, seeds: list[int]) -> TreeEmbedContext:
@@ -317,8 +279,13 @@ def _prepare_context(t: SimpleGraph, seeds: list[int]) -> TreeEmbedContext:
         order=tuple(order),
         parent_pos=tuple(parent_pos),
         monotone=tuple(monotone),
-        pinned=len(seeds),
     )
+
+
+@lru_cache(maxsize=64)
+def _rooted_context(t: SimpleGraph) -> TreeEmbedContext:
+    """``t`` prepared from its lowest-index maximum-degree vertex, once per tree."""
+    return _prepare_context(t, [max(range(t.n), key=lambda v: (t.degree(v), -v))])
 
 
 def _engine(
@@ -359,21 +326,10 @@ def generic_backtrack(g: SimpleGraph, t: SimpleGraph) -> tuple[int, ...] | None:
     if n == 1:
         return (0,) if p >= 1 else None
 
-    hdeg = [g.degree(v) for v in range(p)]
-    comp_size = [0] * p
-    for mask in g.component_masks():
-        size = mask.bit_count()
-        for v in iter_bits(mask):
-            comp_size[v] = size
-
-    tdeg = [t.degree(v) for v in range(n)]
-    root = max(range(n), key=lambda v: (tdeg[v], -v))
-    ctx = _prepare_context(t, [root])
-
+    ctx = _rooted_context(t)
+    hdeg, hubs = _hubs(g, n, ctx.tdeg[ctx.order[0]])
     assign = [-1] * n
-    for w in sorted(range(p), key=lambda v: (-hdeg[v], v)):
-        if hdeg[w] < tdeg[root] or comp_size[w] < n:
-            continue
+    for w in hubs:
         assign[0] = w
         if _engine(g.adj, hdeg, ctx, assign, 1 << w, 1):
             witness = [-1] * n

@@ -15,13 +15,15 @@ Serialization supports two formats:
 * **edge text** -- one ``u v`` pair per line, zero-based, ``#`` comments and
   blank lines ignored.  An optional header ``p=<count>`` before the first
   edge gives the vertex count, so trailing isolated vertices survive;
-  without it the count is ``max index + 1``.  Graph files written in this
+  without it the count is ``max index + 1``.  Either way the count is at
+  most 258047, the graph6 limit.  Graph files written in this
   format start with the header as a comment line, ``# p=<count>``, which
   keeps every line a two-token line that any edge-list reader skips.
 """
 
 from __future__ import annotations
 
+import binascii
 import re
 from typing import Iterable, Iterator
 
@@ -211,10 +213,15 @@ class SimpleGraph:
 # ---------------------------------------------------------------- graph6
 
 _G6_LONG = 126  # '~'
+_MAX_ORDER = 258047  # the largest order graph6 can encode
 # graph6 byte -> its six body bits, most significant first.
 _G6_BITS = {63 + x: format(x, "06b") for x in range(64)}
-_G6_CHAR = {bits: chr(byte) for byte, bits in _G6_BITS.items()}
-_SIX = re.compile(".{6}")
+# base64 digit -> graph6 byte: both code one six-bit group per byte, most
+# significant bit first.
+_B64_TO_G6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
 
 
 def to_graph6(g: SimpleGraph) -> str:
@@ -223,19 +230,24 @@ def to_graph6(g: SimpleGraph) -> str:
     n = g.n
     if n <= 62:
         head = [n + 63]
-    elif n <= 258047:
+    elif n <= _MAX_ORDER:
         head = [_G6_LONG, 63 + (n >> 12 & 63), 63 + (n >> 6 & 63), 63 + (n & 63)]
     else:
-        raise ValueError("graph too large for this graph6 encoder (n > 258047)")
+        raise ValueError(f"graph too large for this graph6 encoder (n > {_MAX_ORDER})")
 
     # Upper-triangle bits in column order: x(0,1), x(0,2), x(1,2), x(0,3), ...
-    # Column v is bits 0..v-1 of adj[v], lowest first.
+    # Column v is bits 0..v-1 of adj[v], lowest first, so the reversed stream
+    # is the columns from the last one down, each written highest bit first.
+    # The stream, padded to whole base64 groups of 24 bits, is coded in one
+    # pass, so the peak memory is about two bytes per vertex pair.
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 24
     bits = "".join(
-        format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)
-    )
-    bits += "0" * (-len(bits) % 6)
-    body = "".join(map(_G6_CHAR.__getitem__, _SIX.findall(bits)))
-    return bytes(head).decode("ascii") + body
+        [format(g.adj[v] & ((1 << v) - 1), f"0{v}b") for v in range(n - 1, 0, -1)]
+    )[::-1]
+    raw = (int(bits or "0", 2) << pad).to_bytes((nbits + pad) // 8, "big")
+    body = binascii.b2a_base64(raw, newline=False).translate(_B64_TO_G6)
+    return bytes(head).decode("ascii") + body[: (nbits + 5) // 6].decode("ascii")
 
 
 def from_graph6(text: str) -> SimpleGraph:
@@ -300,7 +312,7 @@ def from_edge_text(text: str) -> SimpleGraph:
 
     Blank lines and other ``#`` comments are ignored.  An empty edge list
     without a header yields the empty graph on zero vertices.  A header count
-    below ``max index + 1`` raises ``ValueError``.
+    below ``max index + 1``, or a count above 258047, raises ``ValueError``.
     """
     edges: list[tuple[int, int]] = []
     top = -1
@@ -331,6 +343,8 @@ def from_edge_text(text: str) -> SimpleGraph:
         raise ValueError(
             f"header p={count} is below the largest vertex index + 1 ({top + 1})"
         )
+    if count > _MAX_ORDER:
+        raise ValueError(f"graph order {count} is above the supported maximum {_MAX_ORDER}")
     return SimpleGraph.from_edges(count, edges)
 
 

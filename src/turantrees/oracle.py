@@ -33,9 +33,9 @@ Four exact prunes keep it fast:
 Budgets (node count and wall-clock) abort the search by exception; the
 result is then flagged ``exact=False`` and carries the incumbent as a lower
 bound.  With ``threads > 1`` the slot tree is split at a fixed depth into a
-deterministic frontier of subproblems spread over worker processes; values
-combine by max, so the reported value is independent of scheduling and of
-the thread count.
+deterministic frontier of subproblems spread over worker processes, at
+most one per CPU; values combine by max, so the reported value is
+independent of scheduling and of the thread count.
 """
 
 from __future__ import annotations
@@ -331,8 +331,9 @@ def ex_bruteforce(
         if batch
     ]
 
+    # The pool forks all its workers at the first submit: at most one per CPU.
     results = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
         for res in pool.map(_worker_run, jobs):
             results.append(res)
 

@@ -176,6 +176,18 @@ def test_check_missing_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["0 999999999999\n", "# p=999999999999\n0 1\n"])
+def test_check_huge_edge_list_order_exits_2(capsys, tmp_path, text):
+    huge = tmp_path / "huge.edges"
+    huge.write_text(text)
+    small = tmp_path / "small.edges"
+    small.write_text("0 1\n1 2\n")
+    for host, spec in ((huge, "path:3"), (small, f"file:{huge}")):
+        code, rep = run_cli(capsys, "check", str(host), spec)
+        assert code == 2
+        assert "258047" in rep["error"]
+
+
 # --------------------------------------------------------------------- oracle
 
 def test_oracle_matches_formula(capsys):

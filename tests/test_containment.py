@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -426,6 +428,51 @@ def test_hosts_with_a_tight_two_ball_still_embed(maker, n):
         for v in iter_bits(g.adj[hub]):
             ball |= g.adj[v]
         assert (ball & ~(1 << hub)).bit_count() == n - 1
+
+
+# ------------------------------------------------------------ prepared trees
+
+def test_rooted_context_is_built_once_per_tree(monkeypatch):
+    calls = []
+    prepare = containment._prepare_context
+    monkeypatch.setattr(
+        containment,
+        "_prepare_context",
+        lambda t, seeds: calls.append(seeds) or prepare(t, seeds),
+    )
+    # no other test uses this tree, so its context is not cached yet; its
+    # internal vertices 1, 2, 3, 6 form a path, so it takes the generic engine
+    fork = explicit_tree([(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 6), (6, 7)])
+    t = realize(fork)
+    rng = random.Random(7)
+    for p in range(8, 12):
+        g = host_from_edges(p, R.random_host_edges(rng, p, 0.6))
+        for _ in range(3):
+            w = generic_backtrack(g, t)
+            assert (contains_tree(g, fork) is None) == (w is None)
+    assert len(calls) == 1
+
+
+def test_traced_functions_keep_their_names(monkeypatch):
+    # the benchmark's tracer looks these functions up by name in LAYERS
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, names in tracing.LAYERS.values():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert callable(getattr(mod, name, None)), (module, name)
+    # and it sees generic_backtrack only if contains_tree calls it through
+    # the module global
+    seen = []
+    engine = containment.generic_backtrack
+    monkeypatch.setattr(
+        containment, "generic_backtrack", lambda g, t: seen.append(t.n) or engine(g, t)
+    )
+    assert contains_tree(SimpleGraph.complete(6), path(6)) is not None
+    assert seen == [6]
 
 
 # ------------------------------------------------------------------ odd trees

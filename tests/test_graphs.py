@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +261,20 @@ def test_graph6_codec_matches_per_bit_codec():
         assert from_graph6(text[:head] + body.decode("ascii")) == expected
 
 
+def test_graph6_encoder_memory_is_linear_in_the_pairs():
+    # the bit stream needs about 2 bytes per vertex pair; a string per
+    # six-bit group needed 13
+    p = 3000
+    g = SimpleGraph.circulant(p, range(1, 400))
+    tracemalloc.start()
+    try:
+        to_graph6(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * p * (p - 1) // 2
+
+
 # ------------------------------------------------------------ edge-list codec
 
 def test_edge_text_round_trip_and_comments():
@@ -314,6 +329,16 @@ def test_edge_text_count_header():
         from_edge_text("p=2\n0 3\n")
     with pytest.raises(ValueError, match="line 2"):
         from_edge_text("0 1\np=5\n")  # only before the first edge
+
+
+def test_edge_text_order_bound():
+    # the largest order graph6 can encode; beyond it the parser refuses
+    # before it allocates a row per vertex
+    assert from_edge_text("# p=258047\n").n == 258047
+    assert from_edge_text("258046 0\n").n == 258047
+    for text in ("258047 0\n", "0 999999999999\n", "# p=258048\n", "p=999999999999\n0 1\n"):
+        with pytest.raises(ValueError, match="258047"):
+            from_edge_text(text)
 
 
 def test_sniffer_reads_header_only_files(tmp_path):

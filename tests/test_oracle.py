@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import os
 from math import comb
 
 import pytest
 
+from turantrees import oracle
 from turantrees.containment import contains_tree
 from turantrees.formulas import ex_path, ex_star, extremal_value
 from turantrees.graphs import SimpleGraph, to_graph6
@@ -232,6 +234,32 @@ def test_tiny_hosts_with_many_threads(threads):
     assert ex_bruteforce(4, path(4), threads=threads).value == 3
     assert ex_bruteforce(3, star(2), threads=threads).value == 1
     assert ex_bruteforce(4, star(3), threads=threads).value == 4
+
+
+def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
+    # the pool forks all its workers at the first submit, so the worker count
+    # must not follow --threads; this stand-in runs the batches in process
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+    solo = ex_bruteforce(8, path(4))
+    many = ex_bruteforce(8, path(4), threads=10_000)
+    assert workers and workers[0] <= (os.cpu_count() or 1)
+    assert many.exact
+    assert (many.value, many.witness) == (solo.value, solo.witness)
 
 
 # ------------------------------------------------------- formula sweep helper

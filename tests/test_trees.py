@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -129,6 +131,55 @@ def test_skeleton_absent_for_degenerate_member():
     # tppp at n=6 is a path; its internal vertices do not induce a star,
     # so the star-skeleton fast path must decline it.
     assert build_star_skeleton(realize(tppp(6))) is None
+
+
+def prufer_tree(n: int, seq: tuple[int, ...]) -> SimpleGraph:
+    """The labelled tree on ``n >= 2`` vertices with Prüfer sequence ``seq``."""
+    deg = [1] * n
+    for x in seq:
+        deg[x] += 1
+    edges = []
+    for x in seq:
+        leaf = deg.index(1)
+        edges.append((leaf, x))
+        deg[leaf] -= 1
+        deg[x] -= 1
+    edges.append(tuple(v for v in range(n) if deg[v] == 1))
+    return SimpleGraph.from_edges(n, edges)
+
+
+def test_skeleton_on_every_labelled_tree_up_to_7_vertices():
+    for n in range(1, 8):
+        seqs = itertools.product(range(n), repeat=n - 2) if n >= 2 else []
+        trees = [prufer_tree(n, seq) for seq in seqs] or [SimpleGraph(1)]
+        for t in trees:
+            internal = [v for v in range(n) if t.degree(v) >= 2]
+            # brute force: some internal vertex is adjacent to every other
+            # internal vertex, and no two others are adjacent
+            stars = [
+                c for c in internal
+                if all(t.has_edge(c, v) for v in internal if v != c)
+                and not any(
+                    t.has_edge(a, b)
+                    for a, b in itertools.combinations(internal, 2)
+                    if c not in (a, b)
+                )
+            ]
+            sk = build_star_skeleton(t)
+            assert (sk is not None) == bool(stars), t.adj
+            if sk is None:
+                continue
+            # the centre: the only candidate, or of two, the higher degree
+            # and then the lower index
+            assert sk.center == min(stars, key=lambda c: (-t.degree(c), c))
+            assert sorted((sk.center, *sk.branches)) == internal
+            counts = [len(ls) for ls in sk.branch_leaves]
+            assert counts == sorted(counts, reverse=True)
+            edges = [(sk.center, b) for b in sk.branches]
+            edges += [(sk.center, v) for v in sk.center_leaves]
+            for b, leaf_block in zip(sk.branches, sk.branch_leaves):
+                edges += [(b, v) for v in leaf_block]
+            assert SimpleGraph.from_edges(n, edges) == t
 
 
 # ------------------------------------------------------------------- explicit
