@@ -233,6 +233,13 @@ def _cmd_verify(args) -> tuple[dict, int]:
     failures: list[dict] = []
     # T-freeness of each distinct base checked so far, keyed by (family, rows).
     base_free: dict[tuple, bool] = {}
+    # extremal_value(f, p).value, reused by the recurrence check at p + n - 1.
+    values: dict[tuple, int] = {}
+
+    def value_of(f, p: int) -> int:
+        if (f, p) not in values:
+            values[f, p] = extremal_value(f, p).value
+        return values[f, p]
 
     def record(name: str, passed: bool, **info) -> None:
         counts[name]["checked"] += 1
@@ -258,7 +265,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
             for tag, f in trees.items():
                 if p < n:
                     continue
-                value = extremal_value(f, p).value
+                value = value_of(f, p)
 
                 lb, ub = lower_bound(p, n), upper_bound(p, n)
                 record(
@@ -267,7 +274,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
                 )
 
                 if p >= 2 * n - 6:
-                    prev = extremal_value(f, p - (n - 1)).value
+                    prev = value_of(f, p - (n - 1))
                     record(
                         "recurrence", value == comb(n - 1, 2) + prev,
                         family=tag, n=n, p=p,

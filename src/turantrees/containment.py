@@ -16,14 +16,18 @@ on the tree is prepared once per tree.
 
 * ``generic_backtrack`` embeds an arbitrary tree by backtracking over a BFS
   order rooted at a maximum-degree vertex, with degree pruning and an
-  ascending-host-index rule over blocks of same-parent leaves (leaf siblings
-  are interchangeable, so only sorted images need be tried).
+  ascending-host-index rule over runs of siblings whose rooted subtrees are
+  isomorphic (equal AHU canonical forms): such siblings are interchangeable,
+  so only sorted images need be tried.  Leaf siblings are the simplest case.
 
 Both return a witness tuple ``w`` with ``w[i]`` = host vertex for tree vertex
 ``i``, or ``None`` when no embedding exists.
 
 The module also exposes the engine hook the brute-force oracle needs: an
-anchored check for embeddings that use one prescribed host edge.
+anchored check for embeddings that use one prescribed host edge.  It pins
+one directed tree edge per orbit under the tree's automorphisms, since an
+automorphism carries an embedding pinned at one edge of an orbit to one
+pinned at any other.
 """
 
 from __future__ import annotations
@@ -35,8 +39,10 @@ from itertools import combinations, groupby, product
 from .graphs import SimpleGraph, iter_bits
 from .trees import TreeFamily, realize
 
-# Largest tree order ``generic_backtrack`` accepts: it recurses once per
-# tree vertex, and the interpreter's default recursion limit is 1000.
+# Largest tree order ``generic_backtrack`` accepts: ``_engine`` recurses once
+# per placed tree vertex (the rooting and the forms are built iteratively),
+# and 500 levels leave half of the interpreter's default recursion limit of
+# 1000 to the callers.
 MAX_GENERIC_ORDER = 500
 
 __all__ = [
@@ -241,7 +247,8 @@ class TreeEmbedContext:
     ``order[i]`` is the tree vertex placed at step ``i``; for ``i`` past the
     seeds, ``parent_pos[i]`` points at the earlier step holding its unique
     already-placed neighbour.  ``monotone[i]`` marks steps whose tree vertex
-    is a leaf sibling of the previous step's (images must ascend).
+    is a sibling of the previous step's with an isomorphic subtree (images
+    must ascend).
     """
 
     tdeg: tuple[int, ...]
@@ -250,42 +257,70 @@ class TreeEmbedContext:
     monotone: tuple[bool, ...]
 
 
-def _prepare_context(t: SimpleGraph, seeds: list[int]) -> TreeEmbedContext:
+def _prepare_context(
+    t: SimpleGraph, seeds: list[int], intern: dict | None = None
+) -> tuple[TreeEmbedContext, tuple[int, ...]]:
+    """``t`` rooted at ``seeds`` (each seed's side hangs below it), and the
+    canonical form of each seed's side.
+
+    Forms are AHU codes (Aho, Hopcroft and Ullman 1974, section 3.2): the id
+    that ``intern`` gives the sorted tuple of the kids' forms, so two rooted
+    subtrees are isomorphic exactly when their forms are equal.  They are
+    built bottom-up over the reversed BFS order, with no recursion.  Each
+    vertex's kids are placed internal first, then by form, then by index,
+    and a kid whose form equals the previous kid's is ``monotone``.  This
+    is exact: swapping the images of two isomorphic sibling subtrees maps an
+    embedding to one with the same seed images, so permuting each run of
+    isomorphic siblings, top-down, sorts every run's images.
+    """
+    if intern is None:
+        intern = {}
     n = t.n
-    tdeg = tuple(t.degree(v) for v in range(n))
-    order: list[int] = list(seeds)
-    pos_of = {v: i for i, v in enumerate(order)}
+    adj = t.adj
+    tdeg = tuple(map(int.bit_count, adj))
+    parent = [-1] * n
+    seen = 0
+    for s in seeds:
+        seen |= 1 << s
+    bfs = list(seeds)
+    for v in bfs:  # grows while it is read
+        kids = adj[v] & ~seen
+        seen |= kids
+        for w in iter_bits(kids):
+            parent[w] = v
+            bfs.append(w)
+    assert len(bfs) == n, "tree must be connected"
+
+    below: list[list[int]] = [[] for _ in range(n)]
+    form = [0] * n
+    for v in reversed(bfs):
+        form[v] = intern.setdefault(tuple(sorted(below[v])), len(intern))
+        if parent[v] >= 0:
+            below[parent[v]].append(form[v])
+
+    order = list(seeds)
     parent_pos = [-1] * n
     monotone = [False] * n
-
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        kids = [w for w in t.neighbors(v) if w not in pos_of]
-        kids.sort(key=lambda w: (tdeg[w] == 1, w))  # internal first, then leaves
-        prev_leaf = -1
-        for w in kids:
-            pos_of[w] = len(order)
-            parent_pos[pos_of[w]] = pos_of[v]
-            if tdeg[w] == 1 and prev_leaf == len(order) - 1:
-                monotone[len(order)] = True
-            if tdeg[w] == 1:
-                prev_leaf = len(order)
+    for i, v in enumerate(order):  # grows while it is read
+        kids = [w for w in iter_bits(adj[v]) if parent[w] == v]
+        kids.sort(key=lambda w: (tdeg[w] == 1, form[w], w))
+        for k, w in enumerate(kids):
+            parent_pos[len(order)] = i
+            monotone[len(order)] = k > 0 and form[w] == form[kids[k - 1]]
             order.append(w)
-    assert len(order) == n, "tree must be connected"
-    return TreeEmbedContext(
+    ctx = TreeEmbedContext(
         tdeg=tdeg,
         order=tuple(order),
         parent_pos=tuple(parent_pos),
         monotone=tuple(monotone),
     )
+    return ctx, tuple(form[s] for s in seeds)
 
 
 @lru_cache(maxsize=64)
 def _rooted_context(t: SimpleGraph) -> TreeEmbedContext:
     """``t`` prepared from its lowest-index maximum-degree vertex, once per tree."""
-    return _prepare_context(t, [max(range(t.n), key=lambda v: (t.degree(v), -v))])
+    return _prepare_context(t, [max(range(t.n), key=lambda v: (t.degree(v), -v))])[0]
 
 
 def _engine(
@@ -302,11 +337,14 @@ def _engine(
     if ctx.monotone[pos]:
         cands &= -2 << assign[pos - 1]  # strictly larger indices only
     need = ctx.tdeg[ctx.order[pos]]
-    for w in iter_bits(cands):
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        w = low.bit_length() - 1
         if hdeg[w] < need:
             continue
         assign[pos] = w
-        if _engine(hadj, hdeg, ctx, assign, used | 1 << w, pos + 1):
+        if _engine(hadj, hdeg, ctx, assign, used | low, pos + 1):
             return True
     return False
 
@@ -381,15 +419,24 @@ def verify_witness(g: SimpleGraph, t: SimpleGraph, witness: tuple[int, ...]) -> 
 # ---------------------------------------------------------------- oracle hook
 
 def edge_anchored_contexts(t: SimpleGraph) -> list[TreeEmbedContext]:
-    """One context per directed tree edge ``(a, b)``, with ``a, b`` pinned as
-    the first two placements.  Used for incremental containment: a new
-    embedding appearing after adding host edge ``{x, y}`` must map some tree
-    edge onto it, in one of the two orientations."""
-    out = []
+    """One context per orbit of directed tree edges ``(a, b)`` under the
+    tree's automorphisms, with ``a, b`` pinned as the first two placements.
+
+    Used for incremental containment: a new embedding appearing after adding
+    host edge ``{x, y}`` must map some tree edge onto it, in one of the two
+    orientations.  Two directed edges lie in one orbit exactly when their
+    ``a``-sides (rooted at ``a``) and their ``b``-sides (rooted at ``b``)
+    have equal canonical forms, and an automorphism carrying ``(a, b)`` to
+    ``(a', b')`` turns an embedding pinned at one into an embedding pinned
+    at the other, so the first context of each orbit is enough.
+    """
+    intern: dict = {}
+    orbits: dict[tuple[int, ...], TreeEmbedContext] = {}
     for a, b in t.edges():
-        out.append(_prepare_context(t, [a, b]))
-        out.append(_prepare_context(t, [b, a]))
-    return out
+        for seeds in ([a, b], [b, a]):
+            ctx, forms = _prepare_context(t, seeds, intern)
+            orbits.setdefault(forms, ctx)
+    return list(orbits.values())
 
 
 def contains_through_edge(

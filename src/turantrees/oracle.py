@@ -8,14 +8,22 @@ Four exact prunes keep it fast:
 * **Incremental containment** -- the partial graph is kept avoider-safe at
   every step: an edge is included only if no embedding of the tree maps one
   of its edges onto the new host edge (earlier edges were already safe, so
-  this preserves freeness exactly).
+  this preserves freeness exactly).  The check has two exact symmetry cuts
+  of its own (``containment.edge_anchored_contexts``).  It pins one directed
+  tree edge per orbit under the tree's automorphisms: composing an embedding
+  with an automorphism that carries ``(a, b)`` to ``(a', b')`` moves the
+  pinned edge without moving its image.  And each pinned search tries the
+  siblings of a run of isomorphic rooted subtrees (equal AHU canonical
+  forms) in ascending image order only: swapping the images of two such
+  subtrees gives another embedding with the same pinned edge.
 * **Degree symmetry** -- only hosts where vertex 0 attains the maximum
   degree are enumerated.  Vertex-0 slots are decided first, so its degree is
   final when the constraint is enforced; any avoider can be relabeled to put
   a maximum-degree vertex at 0, so the maximum value is unaffected.
 * **Capacity bound** -- once vertex 0's degree ``c`` is final, no other
-  vertex may exceed it, so at most ``sum(max(0, c - deg(v))) / 2`` more
-  edges fit; branches that cannot beat the incumbent are cut.
+  vertex may exceed it, so at most ``sum(c - deg(v)) / 2 = (p c - 2 m) / 2``
+  more edges fit (``m`` edges so far); branches that cannot beat the
+  incumbent are cut.
 * **Prefix cut** (isomorph rejection in the sense of McKay, *Isomorph-free
   exhaustive generation*, J. Algorithms 1998) -- at slot ``(u, v)`` two
   vertices ``w, v > u`` are interchangeable when their decided neighbours
@@ -171,11 +179,12 @@ class _BruteForce:
 
         # Upper bound on what this subtree can still reach.  Once vertex 0's
         # degree is final it caps every degree, and each later edge consumes
-        # two units of remaining degree capacity.
+        # two units of remaining degree capacity.  The slack is the sum of
+        # ``deg[0] - d`` over all degrees (every term >= 0), and the degrees
+        # sum to ``2 * m``.
         remaining = self.stop - i
         if i >= self.p - 1:
-            cap = self.deg[0]
-            slack = sum(cap - d for d in self.deg)  # every term is >= 0
+            slack = self.p * self.deg[0] - 2 * self.m
             remaining = min(remaining, slack // 2)
         if self.m + remaining <= self.best:
             return

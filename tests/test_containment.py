@@ -213,10 +213,48 @@ def test_exhaustive_family_trees_on_all_small_hosts():
 
 # ------------------------------------------------------------ anchored search
 
-def test_edge_anchored_contexts_cover_both_orientations():
-    t = realize(path(3))
-    ctxs = edge_anchored_contexts(t)
-    assert len(ctxs) == 2 * (t.n - 1)
+def labelled_trees(n: int):
+    """Every labelled tree on ``n >= 2`` vertices, as an edge tuple: the
+    (n-1)-edge sets whose edges all join one connected set."""
+    for edges in itertools.combinations(itertools.combinations(range(n), 2), n - 1):
+        adj = R.adjacency_sets(n, edges)
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in adj[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        if len(seen) == n:
+            yield edges
+
+
+def test_edge_anchored_contexts_one_per_edge_orbit():
+    # each directed tree edge is carried onto exactly one context's pinned
+    # pair by an automorphism (found by brute force); so the contexts pin
+    # directed edges from distinct orbits and miss no orbit
+    counts = [sum(1 for _ in labelled_trees(n)) for n in range(2, 7)]
+    assert counts == [n ** (n - 2) for n in range(2, 7)]  # Cayley
+    for n in range(2, 7):
+        for edges in labelled_trees(n):
+            t = SimpleGraph.from_edges(n, edges)
+            tree = {frozenset(e) for e in edges}
+            auts = [
+                s for s in itertools.permutations(range(n))
+                if all(frozenset((s[a], s[b])) in tree for a, b in edges)
+            ]
+            ctxs = edge_anchored_contexts(t)
+            pinned = [ctx.order[:2] for ctx in ctxs]
+            assert all(frozenset(pair) in tree for pair in pinned)
+            for a, b in edges:
+                for x, y in ((a, b), (b, a)):
+                    hits = [c for c in pinned if any((s[x], s[y]) == c for s in auts)]
+                    assert len(hits) == 1, (edges, (x, y), pinned)
+            for ctx in ctxs:
+                assert sorted(ctx.order) == list(range(n))
+                for i in range(2, n):
+                    assert t.has_edge(ctx.order[i], ctx.order[ctx.parent_pos[i]])
+    assert len(edge_anchored_contexts(realize(path(3)))) == 2
+    assert len(edge_anchored_contexts(realize(star(6)))) == 2
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -243,6 +281,60 @@ def test_contains_through_edge_matches_reference(seed):
         if any({image[a], image[b]} == {u, v} for a, b in te):
             expected = True
             break
+    assert got == expected
+
+
+def leg(length: int) -> list[tuple[int, int]]:
+    """A path on ``length`` vertices, rooted at its end 0."""
+    return [(i, i + 1) for i in range(length - 1)]
+
+
+def hang(rng: random.Random, shapes) -> tuple[int, list[tuple[int, int]]]:
+    """The tree with root 0 joined to vertex 0 of each rooted tree in
+    ``shapes`` (edge lists on 0..k-1), randomly relabelled."""
+    edges = []
+    n = 1
+    for shape in shapes:
+        edges.append((0, n))
+        edges += [(n + a, n + b) for a, b in shape]
+        n += 1 + len(shape)
+    label = rng.sample(range(n), n)
+    return n, [(label[a], label[b]) for a, b in edges]
+
+
+def symmetric_tree_edges(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A randomly relabelled star or spider on at most 6 vertices: centre 0
+    with legs of random lengths, often equal, so the tree has non-trivial
+    automorphisms."""
+    if rng.random() < 0.3:
+        legs = [1] * rng.randrange(1, 6)
+    else:
+        legs = []
+        while sum(legs) < 5 and (len(legs) < 2 or rng.random() < 0.6):
+            legs.append(rng.randint(1, min(3, 5 - sum(legs))))
+    return hang(rng, map(leg, legs))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_contains_through_edge_matches_reference_on_spiders_and_stars(seed):
+    rng = random.Random(seed)
+    tn, te = symmetric_tree_edges(rng)
+    p = rng.randrange(2, 8)
+    he = R.random_host_edges(rng, p, rng.uniform(0.3, 1.0))
+    if not he:
+        return
+    g = host_from_edges(p, he)
+    u, v = rng.choice(he)
+    ctxs = edge_anchored_contexts(SimpleGraph.from_edges(tn, te))
+    hdeg = [g.degree(x) for x in range(p)]
+    got = contains_through_edge(g.adj, hdeg, ctxs, u, v)
+    adj = R.adjacency_sets(p, he)
+    expected = any(
+        all(image[b] in adj[image[a]] for a, b in te)
+        and any({image[a], image[b]} == {u, v} for a, b in te)
+        for image in itertools.permutations(range(p), tn)
+    )
     assert got == expected
 
 
@@ -291,21 +383,24 @@ def test_explicit_spider_copies_answer_like_the_family(f, p):
     assert time.monotonic() - start < 2.0
 
 
+# Nine legs of length two, and a host free of it: only 0 and 10 have nine
+# neighbours of degree >= 2, and the legs through 1..9 would all have to end
+# at whichever of the two is not the hub.
+NINE_LEGS = explicit_tree([(0, i) for i in range(1, 10)] + [(i, 9 + i) for i in range(1, 10)])
+CROWDED = SimpleGraph.from_edges(
+    19,
+    [(0, i) for i in range(1, 10)]
+    + [(i, 10) for i in range(1, 10)]
+    + [(j, j + 1) for j in range(10, 18)],
+)
+
+
 def test_many_branch_skeleton_trees():
-    # nine legs of length two: the skeleton search agrees with the generic
-    # engine, and rejects a host that only a full search would otherwise settle
-    legs = explicit_tree(
-        [(0, i) for i in range(1, 10)] + [(i, 9 + i) for i in range(1, 10)]
-    )
+    # the skeleton search agrees with the generic engine, and rejects a host
+    # that only a full search would otherwise settle
+    legs = NINE_LEGS
     t = realize(legs)
-    # free: only 0 and 10 have nine neighbours of degree >= 2, and the legs
-    # through 1..9 would all have to end at whichever of the two is not the hub
-    crowded = SimpleGraph.from_edges(
-        19,
-        [(0, i) for i in range(1, 10)]
-        + [(i, 10) for i in range(1, 10)]
-        + [(j, j + 1) for j in range(10, 18)],
-    )
+    crowded = CROWDED
     assert contains_tree(crowded, legs) is None
     rng = random.Random(5)
     for _ in range(20):
@@ -317,6 +412,55 @@ def test_many_branch_skeleton_trees():
         w = contains_tree(g, legs)
         assert (w is None) == (generic_backtrack(g, t) is None)
         assert w is None or verify_witness(g, t, w)
+
+
+def test_generic_engine_rejects_nine_leg_spider_quickly():
+    # without symmetry for isomorphic legs the generic engine tried all 9!
+    # leg orders (7-11 s)
+    start = time.monotonic()
+    assert generic_backtrack(CROWDED, realize(NINE_LEGS)) is None
+    assert time.monotonic() - start < 0.5
+
+
+def repeated_branch_tree_edges(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A randomly relabelled tree on at most 9 vertices whose root carries
+    two or more copies of one non-leaf branch: a spider with repeated legs
+    of length 2 or 3 (plus at most one other leg, up to 3 long), or a root
+    with copies of a small broom (one handle vertex with two or three
+    bristles)."""
+    if rng.random() < 0.5:
+        length = rng.choice((2, 3))
+        legs = [length] * rng.randint(2, 8 // length)
+        if sum(legs) < 8 and rng.random() < 0.5:
+            legs.append(rng.randint(1, min(3, 8 - sum(legs))))
+        shapes = list(map(leg, legs))
+    else:
+        bristles = rng.randint(2, 3)
+        broom = [(0, j) for j in range(1, bristles + 1)]
+        shapes = [broom] * rng.randint(2, 8 // (bristles + 1))
+    return hang(rng, shapes)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_generic_engine_matches_reference_on_repeated_branches(seed):
+    rng = random.Random(seed)
+    tn, te = repeated_branch_tree_edges(rng)
+    t = SimpleGraph.from_edges(tn, te)
+    p = rng.randint(tn, 9)
+    he = set(R.random_host_edges(rng, p, rng.uniform(0.0, 0.3)))
+    # plant a relabelled copy of the tree, often with one edge cut, so that
+    # many hosts sit just on either side of containing it
+    image = rng.sample(range(p), tn)
+    planted = [tuple(sorted((image[a], image[b]))) for a, b in te]
+    he |= set(planted)
+    if rng.random() < 0.5:
+        he.discard(rng.choice(planted))
+    he = sorted(he)
+    g = host_from_edges(p, he)
+    w = generic_backtrack(g, t)
+    assert (w is not None) == R.embeds_pruned(p, he, tn, te)
+    assert w is None or verify_witness(g, t, w)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -477,13 +621,25 @@ def test_traced_functions_keep_their_names(monkeypatch):
 
 # ------------------------------------------------------------------ odd trees
 
-def test_explicit_trees_take_generic_path():
+def test_explicit_trees_take_generic_path(monkeypatch):
     fork = explicit_tree([(0, 1), (1, 2), (2, 3), (1, 4)])
     g = SimpleGraph.complete(5)
     w = contains_tree(g, fork)
     assert w is not None and verify_witness(g, realize(fork), w)
     c5 = SimpleGraph.circulant(5, [1])
     assert contains_tree(c5, fork) is None  # needs a degree-3 vertex
+    # the fork's internal vertices 1, 2 induce a star, so it takes the
+    # skeleton search; a six-vertex path given by its edges does not
+    seen = []
+    engine = containment.generic_backtrack
+    monkeypatch.setattr(
+        containment, "generic_backtrack", lambda g, t: seen.append(t.n) or engine(g, t)
+    )
+    six = explicit_tree([(4, 2), (2, 0), (0, 1), (1, 3), (3, 5)])
+    w = contains_tree(SimpleGraph.complete(6), six)
+    assert w is not None and verify_witness(SimpleGraph.complete(6), realize(six), w)
+    assert contains_tree(SimpleGraph.from_edges(6, [(0, i) for i in range(1, 6)]), six) is None
+    assert seen == [6, 6]
 
 
 def test_single_vertex_tree():

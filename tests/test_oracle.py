@@ -128,6 +128,14 @@ def test_oracle_equals_formula_at_real_orders(p, f, partial):
     check_result(res, p, f)
 
 
+def test_tppp10_at_p10_is_exact_within_seconds():
+    # 16,399 nodes, each with an anchored check of the new edge: about 1 s
+    # with one context per edge orbit, 12-13 s with one per directed edge
+    res = ex_bruteforce(10, tppp(10), budget_seconds=10)
+    assert res.exact and res.value == extremal_value(tppp(10), 10).value == 36
+    check_result(res, 10, tppp(10))
+
+
 def test_tppp7_at_p9_is_exact_within_budget():
     res = ex_bruteforce(9, tppp(7), budget_nodes=100_000)
     assert res.value == 18
