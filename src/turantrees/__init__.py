@@ -26,7 +26,6 @@ from .trees import (
     star,
     explicit_tree,
     realize,
-    max_degree_of,
     is_tree,
     parse_family_spec,
     spec_string,
@@ -89,7 +88,6 @@ __all__ = [
     "star",
     "explicit_tree",
     "realize",
-    "max_degree_of",
     "is_tree",
     "parse_family_spec",
     "spec_string",

@@ -19,8 +19,7 @@ Family specs are colon-tagged: ``t3:15``, ``tpp:15``, ``tppp:15``,
 ``path:7``, ``star:9``, ``file:<edge-list path>``.  For ``star`` the numeric
 argument is the leaf count ``s``.  The ``verify`` ``--p`` bounds may use
 ``n``-expressions such as ``n``, ``2n-9``, or ``4n``, evaluated per tree
-order.  The ``TURAN_BUDGET_NODES`` environment variable overrides the
-oracle's default node budget.
+order.
 """
 
 from __future__ import annotations
@@ -233,13 +232,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
     failures: list[dict] = []
     # T-freeness of each distinct base checked so far, keyed by (family, rows).
     base_free: dict[tuple, bool] = {}
-    # extremal_value(f, p).value, reused by the recurrence check at p + n - 1.
-    values: dict[tuple, int] = {}
-
-    def value_of(f, p: int) -> int:
-        if (f, p) not in values:
-            values[f, p] = extremal_value(f, p).value
-        return values[f, p]
 
     def record(name: str, passed: bool, **info) -> None:
         counts[name]["checked"] += 1
@@ -265,7 +257,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
             for tag, f in trees.items():
                 if p < n:
                     continue
-                value = value_of(f, p)
+                value = extremal_value(f, p).value
 
                 lb, ub = lower_bound(p, n), upper_bound(p, n)
                 record(
@@ -274,7 +266,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
                 )
 
                 if p >= 2 * n - 6:
-                    prev = value_of(f, p - (n - 1))
+                    prev = extremal_value(f, p - (n - 1)).value
                     record(
                         "recurrence", value == comb(n - 1, 2) + prev,
                         family=tag, n=n, p=p,
@@ -412,12 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress notes on stderr"
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        default=True,
-        help="emit a JSON report on stdout (default; kept for compatibility)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .graphs import SimpleGraph
@@ -110,27 +111,39 @@ def _check_degrees(g: SimpleGraph, expected: list[int]) -> None:
     assert got == want, f"degree multiset mismatch: got {got}, want {want}"
 
 
-def _lemma46_layout(n: int, edges: list[tuple[int, int]], pairs: int) -> SimpleGraph:
-    """The Lemma 4.6 layout both parities share (see :func:`lemma46_even`):
-    ``edges`` (the core and any extra joins) plus the hub, the two top spine
-    vertices, the companion clique, and the first ``pairs`` spine pairs
-    joined to their companion pairs."""
-    u0 = n - 4  # u_j sits at index u0 + j
+def _spine_layout(
+    n: int, low: int, companions: int, edges: list[tuple[int, int]]
+) -> SimpleGraph:
+    """The host layout both connected bases share, on ``n - 3 + companions``
+    vertices: ``edges`` (the core and the pairing) plus the hub ``v_0``
+    joined to the spine ``v_1..v_{n-4}``, every spine vertex above ``v_low``
+    joined to every lower spine vertex, and a clique on the companions
+    ``u_1..u_companions`` at ``n-3..``."""
     edges = list(edges)
-    edges += [(0, i) for i in range(1, n - 3)]  # v_0 to all spine
-    edges += [(n - 5, i) for i in range(1, n - 5)]  # v_{n-5} to v_1..v_{n-6}
-    edges += [(n - 5, n - 4)]
-    edges += [(n - 4, i) for i in range(1, n - 5)]  # v_{n-4} to v_1..v_{n-6}
-    edges += [
-        (u0 + a, u0 + b)
-        for a in range(1, n - 6)
-        for b in range(a + 1, n - 5)
+    edges += [(0, i) for i in range(1, n - 3)]
+    edges += [(a, h) for h in range(low + 1, n - 3) for a in range(1, h)]
+    edges += combinations(range(n - 3, n - 3 + companions), 2)
+    return SimpleGraph.from_edges(n - 3 + companions, edges)
+
+
+def _sparse_complement(m: int, start: int, count: int) -> list[tuple[int, int]]:
+    """The edges on ``v_1..v_m`` of the complement of the cycle ``1..m`` plus
+    the chords ``v_i v_{start+i-1}`` for ``i = 1..count`` (``start >= 2``, so
+    every pair is written low end first)."""
+    h = {(i, i + 1) for i in range(1, m)} | {(1, m)}
+    h |= {(i, start + i - 1) for i in range(1, count + 1)}
+    return [e for e in combinations(range(1, m + 1), 2) if e not in h]
+
+
+def _paired(n: int, pairs: int) -> list[tuple[int, int]]:
+    """Lemma 4.6's pairing: spine pair ``(v_{2i-1}, v_{2i})`` joined
+    completely to companion pair ``(u_{2i-1}, u_{2i})`` for ``i <= pairs``."""
+    return [
+        (2 * i - a, n - 4 + 2 * i - b)
+        for i in range(1, pairs + 1)
+        for a in (0, 1)
+        for b in (0, 1)
     ]
-    for i in range(1, pairs + 1):
-        for vv in (2 * i - 1, 2 * i):
-            for uu in (2 * i - 1, 2 * i):
-                edges.append((vv, u0 + uu))
-    return SimpleGraph.from_edges(2 * n - 9, edges)
 
 
 def lemma46_even(n: int) -> SimpleGraph:
@@ -150,8 +163,8 @@ def lemma46_even(n: int) -> SimpleGraph:
     """
     if n < 26 or n % 2:
         raise ValueError(f"lemma46_even requires even n >= 26 (got n={n})")
-    core = near_regular(n - 6, n - 10)
-    g = _lemma46_layout(n, [(1 + a, 1 + b) for a, b in core.edges()], (n - 6) // 2)
+    core = [(1 + a, 1 + b) for a, b in near_regular(n - 6, n - 10).edges()]
+    g = _spine_layout(n, n - 6, n - 6, core + _paired(n, (n - 6) // 2))
     assert g.edge_count() == (2 * n * n - 19 * n + 48) // 2
     _check_degrees(g, [n - 4] * 3 + [n - 5] * (2 * n - 12))
     return g
@@ -171,21 +184,9 @@ def lemma46_odd(n: int) -> SimpleGraph:
     """
     if n < 27 or n % 2 == 0:
         raise ValueError(f"lemma46_odd requires odd n >= 27 (got n={n})")
-    m = n - 6  # core size
-
-    # Sparse graph H on v_1..v_m, in v-index space.
-    h_edges = {(i, i + 1) for i in range(1, m)} | {(1, m)}
-    h_edges |= {(i, i + (n - 7) // 2) for i in range(1, (n - 7) // 2 + 1)}
-    h_norm = {(min(a, b), max(a, b)) for a, b in h_edges}
-
-    edges = [
-        (a, b)
-        for a in range(1, m + 1)
-        for b in range(a + 1, m + 1)
-        if (a, b) not in h_norm
-    ]
-    edges.append((n - 6, 2 * n - 10))  # the leftover single pairing v_{n-6} u_{n-6}
-    g = _lemma46_layout(n, edges, (n - 7) // 2)
+    core = _sparse_complement(n - 6, (n - 5) // 2, (n - 7) // 2)
+    core.append((n - 6, 2 * n - 10))  # the leftover single pairing v_{n-6} u_{n-6}
+    g = _spine_layout(n, n - 6, n - 6, core + _paired(n, (n - 7) // 2))
     assert g.edge_count() == (2 * n * n - 19 * n + 47) // 2
     _check_degrees(g, [n - 4] * 3 + [n - 5] * (2 * n - 13) + [n - 6])
     return g
@@ -203,80 +204,29 @@ def lemma47_construct(n: int) -> SimpleGraph:
     near-regular) core, and each low vertex is paired with one or two
     companions so that every companion has exactly one spine neighbour.
 
-    The four congruence cases mod 4 differ only in the low/high split, the
-    core, and the tail of the pairing.  Degrees: ``v_0`` and every high
-    vertex at ``n - 4``, everything else at ``n - 5``.  Edge count
-    ``n^2 - 9 n + 29 + (n - 37) // 4``.
+    With ``s = (n - 1) mod 4`` (cases 1..4 are ``n = 1, 2, 3, 0 mod 4``),
+    ``L = (n - 5 + s) / 2``; for ``s > 0`` the core is the complement of the
+    cycle on the low range plus ``(n - 5 - s) / 4`` chords starting at
+    ``v_{(n-1-s)/4}``, for ``s = 0`` it is ``near_regular(L, (n - 13) / 2)``;
+    the last ``s`` low vertices take one companion each, the others two.
+    Degrees: ``v_0`` and every high vertex at ``n - 4``, everything else at
+    ``n - 5``.  Edge count ``n^2 - 9 n + 29 + (n - 37) // 4``.
     """
     if n < 37:
         raise ValueError(f"lemma47_construct requires n >= 37 (got n={n})")
-    p = 2 * n - 8
-    u0 = n - 4  # u_j sits at index u0 + j, j = 1..n-5
-
-    rem = n % 4
-    if rem == 1:
-        low_hi = (n - 5) // 2
-        tail_singles = 0
-        chord_start = None  # direct near-regular core, no complement
-    elif rem == 2:
-        low_hi = (n - 4) // 2
-        tail_singles = 1
-        chord_start = (n - 2) // 4
-        n_chords = (n - 6) // 4
-    elif rem == 3:
-        low_hi = (n - 3) // 2
-        tail_singles = 2
-        chord_start = (n - 3) // 4
-        n_chords = (n - 7) // 4
-    else:  # rem == 0
-        low_hi = (n - 2) // 2
-        tail_singles = 3
-        chord_start = (n - 4) // 4
-        n_chords = (n - 8) // 4
-
-    edges: list[tuple[int, int]] = []
-    edges += [(0, i) for i in range(1, n - 3)]  # v_0 to all spine
-    # High vertices join every lower-indexed spine vertex.
-    edges += [
-        (a, h) for h in range(low_hi + 1, n - 3) for a in range(1, h)
-    ]
-    # Companion clique.
-    edges += [
-        (u0 + a, u0 + b)
-        for a in range(1, n - 5)
-        for b in range(a + 1, n - 4)
-    ]
-
-    # Core on the low range.
-    if chord_start is None:
-        core = near_regular(low_hi, (n - 13) // 2)
-        edges += [(1 + a, 1 + b) for a, b in core.edges()]
+    s = (n - 1) % 4
+    low = (n - 5 + s) // 2
+    if s:
+        edges = _sparse_complement(low, (n - 1 - s) // 4, (n - 5 - s) // 4)
     else:
-        h_edges = {(i, i + 1) for i in range(1, low_hi)} | {(1, low_hi)}
-        h_edges |= {
-            (i, chord_start + i - 1) for i in range(1, n_chords + 1)
-        }
-        h_norm = {(min(a, b), max(a, b)) for a, b in h_edges}
-        edges += [
-            (a, b)
-            for a in range(1, low_hi + 1)
-            for b in range(a + 1, low_hi + 1)
-            if (a, b) not in h_norm
-        ]
-
-    # Pairing: doubled companions for the leading low vertices, then single
-    # companions for the last ``tail_singles`` low vertices.
-    doubled = low_hi - tail_singles
-    for i in range(1, doubled + 1):
-        edges.append((i, u0 + 2 * i - 1))
-        edges.append((i, u0 + 2 * i))
-    for t in range(tail_singles):
-        edges.append((doubled + 1 + t, u0 + 2 * doubled + 1 + t))
-
-    g = SimpleGraph.from_edges(p, edges)
+        edges = [(1 + a, 1 + b) for a, b in near_regular(low, (n - 13) // 2).edges()]
+    # Low vertex i takes companions u_{2i-1}, u_{2i}; the last s take one each.
+    doubled = low - s
+    edges += [(i, n - 4 + 2 * i - b) for i in range(1, doubled + 1) for b in (0, 1)]
+    edges += [(doubled + t, n - 4 + 2 * doubled + t) for t in range(1, s + 1)]
+    g = _spine_layout(n, low, n - 5, edges)
     assert g.edge_count() == n * n - 9 * n + 29 + (n - 37) // 4
-    n_high = (n - 4) - low_hi
-    _check_degrees(g, [n - 4] * (1 + n_high) + [n - 5] * (2 * n - 9 - n_high))
+    _check_degrees(g, [n - 4] * (n - 3 - low) + [n - 5] * (n - 5 + low))
     return g
 
 

@@ -18,6 +18,7 @@ matches on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Callable
 
@@ -280,6 +281,7 @@ def upper_bound(p: int, n: int) -> int:
 
 # ---------------------------------------------------------------- evaluator
 
+@lru_cache(maxsize=256)
 def extremal_value(f: TreeFamily, p: int, partial: bool = False) -> ExtremalValue:
     """Family-level evaluator, defined for every host order ``p >= 0``.
 
@@ -288,7 +290,8 @@ def extremal_value(f: TreeFamily, p: int, partial: bool = False) -> ExtremalValu
     From ``p >= n`` on, the family's closed form applies.  ``partial=True``
     uses :func:`ex_t3_partial` for the ``t3`` family.
 
-    Explicit trees have no closed form and raise ``ValueError``.
+    Explicit trees have no closed form and raise ``ValueError``.  Values are
+    kept in a small bounded cache, so repeated checks cost one lookup.
     """
     if p < 0:
         raise ValueError(f"extremal_value requires p >= 0 (got p={p})")

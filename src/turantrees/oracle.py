@@ -97,13 +97,6 @@ class OracleResult:
     budget_reason: str | None
 
 
-def _resolve_budget_nodes(budget_nodes: int | None) -> int:
-    if budget_nodes is not None:
-        return budget_nodes
-    env = os.environ.get("TURAN_BUDGET_NODES")
-    return int(env) if env else DEFAULT_BUDGET_NODES
-
-
 # ---------------------------------------------------------------- search core
 
 class _BruteForce:
@@ -285,9 +278,8 @@ def ex_bruteforce(
 
     Requires ``p >= 1``.  When the tree has more vertices than the host, the
     complete graph is the (trivial) maximizer; otherwise the search requires
-    ``p <= MAX_ORACLE_ORDER``.  Budgets: ``budget_nodes``
-    (default from ``TURAN_BUDGET_NODES`` or 10**8 per search/worker) and
-    ``budget_seconds`` (default 60).
+    ``p <= MAX_ORACLE_ORDER``.  Budgets: ``budget_nodes`` (default 10**8
+    per search/worker) and ``budget_seconds`` (default 60).
     """
     if p < 1:
         raise ValueError(f"ex_bruteforce requires p >= 1 (got p={p})")
@@ -306,7 +298,7 @@ def ex_bruteforce(
             f"ex_bruteforce recurses once per vertex pair and is limited to "
             f"p <= {MAX_ORACLE_ORDER} (got p={p})"
         )
-    nodes_budget = _resolve_budget_nodes(budget_nodes)
+    nodes_budget = DEFAULT_BUDGET_NODES if budget_nodes is None else budget_nodes
     seconds = DEFAULT_BUDGET_SECONDS if budget_seconds is None else budget_seconds
     deadline = started + seconds
     contexts = edge_anchored_contexts(t)

@@ -31,7 +31,6 @@ __all__ = [
     "star",
     "explicit_tree",
     "realize",
-    "max_degree_of",
     "is_tree",
     "parse_family_spec",
     "spec_string",
@@ -105,18 +104,17 @@ def explicit_tree(edges: list[tuple[int, int]] | tuple[tuple[int, int], ...]) ->
 
 # ---------------------------------------------------------------- realization
 
+# Where each spider attaches ``v_{n-3}, v_{n-2}, v_{n-1}`` (the paper's
+# ``E_1, E_2, E_3``).
+_ATTACH = {"t3": (1, 1, 1), "tpp": (1, 1, 2), "tppp": (1, 2, 3)}
+
+
 def realize(f: TreeFamily) -> SimpleGraph:
     """The concrete tree, with ``v_i`` at integer vertex ``i``."""
     n = f.n
-    if f.kind == "t3":
+    if f.kind in _ATTACH:
         edges = [(0, i) for i in range(1, n - 3)]
-        edges += [(1, n - 3), (1, n - 2), (1, n - 1)]
-    elif f.kind == "tpp":
-        edges = [(0, i) for i in range(1, n - 3)]
-        edges += [(1, n - 3), (1, n - 2), (2, n - 1)]
-    elif f.kind == "tppp":
-        edges = [(0, i) for i in range(1, n - 3)]
-        edges += [(1, n - 3), (2, n - 2), (3, n - 1)]
+        edges += zip(_ATTACH[f.kind], range(n - 3, n))
     elif f.kind == "path":
         edges = [(i, i + 1) for i in range(n - 1)]
     elif f.kind == "star":
@@ -126,22 +124,6 @@ def realize(f: TreeFamily) -> SimpleGraph:
     else:
         raise ValueError(f"unknown tree family kind {f.kind!r}")
     return SimpleGraph.from_edges(n, edges)
-
-
-def max_degree_of(f: TreeFamily) -> int:
-    """Maximum degree of the tree, in closed form per family."""
-    n = f.n
-    if f.kind == "t3":
-        return max(n - 4, 4)
-    if f.kind == "tpp":
-        return max(n - 4, 3)
-    if f.kind == "tppp":
-        return max(n - 4, 2)
-    if f.kind == "path":
-        return 0 if n == 1 else (1 if n == 2 else 2)
-    if f.kind == "star":
-        return f.s  # type: ignore[return-value]
-    return realize(f).max_degree()
 
 
 # ---------------------------------------------------------------- spec strings

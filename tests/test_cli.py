@@ -210,14 +210,15 @@ def test_oracle_budget_exhaustion_exits_1(capsys):
     assert rep["ok"] is False
 
 
-def test_budget_reason_in_oracle_reports(capsys, monkeypatch):
+def test_budget_reason_in_oracle_reports(capsys):
     _, rep = run_cli(capsys, "oracle", "7", "path:4")
     assert rep["exact"] is True and rep["budget_reason"] is None
-    monkeypatch.setenv("TURAN_BUDGET_NODES", "60")
-    code, rep = run_cli(capsys, "oracle", "8", "path:4")
+    code, rep = run_cli(capsys, "oracle", "8", "path:4", "--budget-nodes", "60")
     assert code == 1 and rep["exact"] is False
     assert rep["budget_reason"] == "node budget exhausted"
-    code, rep = run_cli(capsys, "verify", "--n", "15..15", "--p", "n", "--oracle")
+    code, rep = run_cli(
+        capsys, "verify", "--n", "15..15", "--p", "n", "--oracle", "--budget-nodes", "60"
+    )
     rows = rep["results"]["oracle"]["rows"]
     assert code == 1
     assert any(not row["exact"] for row in rows) and any(row["exact"] for row in rows)

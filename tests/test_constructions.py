@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 from math import comb
 
@@ -190,6 +191,30 @@ def test_lemma46_bases_are_family_free(build, n):
 @pytest.mark.parametrize("n", [37, 38, 39, 40])
 def test_lemma47_bases_are_family_free(n):
     assert contains_tree(lemma47_construct(n), t3(n)) is None
+
+
+# sha256 over repr(g.adj) for every order of the range, in order: pins every
+# adjacency row of the three connected bases.
+CONNECTED_BASE_DIGESTS = [
+    (lemma46_even, range(26, 121, 2),
+     "55328043694d4a88c9262efece315d3e1d8cf3dcce4bb9fb49cf3234b7e653ec"),
+    (lemma46_odd, range(27, 121, 2),
+     "53f5649a34d86fa85fa130482196733450d0e3a5d69bcc582cad040f0e7a2b75"),
+    (lemma47_construct, range(37, 121),
+     "0bc9ee255522decbf1100bc403e72033930a554137677dc666067c06fc83cf04"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,orders,digest",
+    CONNECTED_BASE_DIGESTS,
+    ids=[build.__name__ for build, _, _ in CONNECTED_BASE_DIGESTS],
+)
+def test_connected_bases_are_byte_identical(build, orders, digest):
+    h = hashlib.sha256()
+    for n in orders:
+        h.update(repr(build(n).adj).encode())
+    assert h.hexdigest() == digest
 
 
 # -------------------------------------------------------------- extremal_graph

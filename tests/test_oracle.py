@@ -189,26 +189,18 @@ def test_node_budget_flags_inexact():
     assert contains_tree(res.witness, path(4)) is None
 
 
-def test_env_budget_override(monkeypatch):
-    monkeypatch.setenv("TURAN_BUDGET_NODES", "60")
-    res = ex_bruteforce(8, path(4))
-    assert not res.exact
-    assert res.nodes <= 60
-
-
 def test_time_budget_flags_inexact():
     res = ex_bruteforce(9, path(5), budget_seconds=1e-4)
     assert not res.exact
 
 
-def test_budget_reason_names_the_budget(monkeypatch):
+def test_budget_reason_names_the_budget():
     assert ex_bruteforce(7, path(4)).budget_reason is None
     assert ex_bruteforce(4, path(5)).budget_reason is None  # tree larger than host
     res = ex_bruteforce(9, path(5), budget_seconds=1e-4)
     assert res.budget_reason == "time budget exhausted"
-    monkeypatch.setenv("TURAN_BUDGET_NODES", "60")
     for threads in (1, 2):
-        res = ex_bruteforce(8, path(4), threads=threads)
+        res = ex_bruteforce(8, path(4), budget_nodes=60, threads=threads)
         assert not res.exact
         assert res.budget_reason == "node budget exhausted", threads
 

@@ -13,7 +13,6 @@ from turantrees.graphs import SimpleGraph
 from turantrees.trees import (
     explicit_tree,
     is_tree,
-    max_degree_of,
     parse_family_spec,
     path,
     realize,
@@ -77,25 +76,26 @@ def test_realized_order_matches_family_n():
 @pytest.mark.parametrize("maker", FAMILY_MAKERS)
 @pytest.mark.parametrize("n", list(range(6, 22)))
 def test_max_degree_closed_form(maker, n):
-    f = maker(n)
-    assert max_degree_of(f) == realize(f).max_degree()
+    # The hub has degree n - 4; v_1 carries 3, 2 or 1 of the last leaves.
+    branch = {t3: 4, tpp: 3, tppp: 2}[maker]
+    assert realize(maker(n)).max_degree() == max(n - 4, branch)
 
 
 @pytest.mark.parametrize("n", list(range(10, 30)))
 def test_all_families_share_hub_degree_from_n10(n):
     assert (
-        max_degree_of(t3(n))
-        == max_degree_of(tpp(n))
-        == max_degree_of(tppp(n))
+        realize(t3(n)).max_degree()
+        == realize(tpp(n)).max_degree()
+        == realize(tppp(n)).max_degree()
         == n - 4
     )
 
 
 def test_max_degree_of_paths_and_stars():
-    assert max_degree_of(path(1)) == 0
-    assert max_degree_of(path(2)) == 1
-    assert max_degree_of(path(9)) == 2
-    assert max_degree_of(star(7)) == 7
+    assert realize(path(1)).max_degree() == 0
+    assert realize(path(2)).max_degree() == 1
+    assert realize(path(9)).max_degree() == 2
+    assert realize(star(7)).max_degree() == 7
 
 
 # ------------------------------------------------------------------ skeletons
