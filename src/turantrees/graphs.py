@@ -19,12 +19,21 @@ Serialization supports two formats:
   most 258047, the graph6 limit.  Graph files written in this
   format start with the header as a comment line, ``# p=<count>``, which
   keeps every line a two-token line that any edge-list reader skips.
+
+Both decoders take time linear in the file size, with no Python loop per bit
+or per character.  graph6 is decoded by ``binascii`` and cut into one int per
+column; the mirror half of the rows comes from a bit-matrix transpose whose
+transient memory is about three packed ``n x n`` bit matrices (``n**2 / 8``
+bytes each).  Edge text is checked by one regular-expression search and read
+by ``str.split``; only the lines up to the first edge, and a file with a
+malformed line, are read line by line.
 """
 
 from __future__ import annotations
 
 import binascii
 import re
+from operator import eq
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -214,14 +223,16 @@ class SimpleGraph:
 
 _G6_LONG = 126  # '~'
 _MAX_ORDER = 258047  # the largest order graph6 can encode
-# graph6 byte -> its six body bits, most significant first.
-_G6_BITS = {63 + x: format(x, "06b") for x in range(64)}
-# base64 digit -> graph6 byte: both code one six-bit group per byte, most
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_BYTES = bytes(range(63, 127))
+# base64 digit <-> graph6 byte: both code one six-bit group per byte, most
 # significant bit first.
-_B64_TO_G6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+_B64_TO_G6 = bytes.maketrans(_B64, _G6_BYTES)
+_G6_TO_B64 = bytes.maketrans(_G6_BYTES, _B64)
+# byte -> the same byte with its bit order reversed
+_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# per byte, the bits ``i`` with ``i & j == 0``, for the swaps of _transpose
+_SWAP_MASKS = ((4, b"\x0f"), (2, b"\x33"), (1, b"\x55"))
 
 
 def to_graph6(g: SimpleGraph) -> str:
@@ -260,7 +271,7 @@ def from_graph6(text: str) -> SimpleGraph:
     data = s.encode("ascii", errors="strict")
     if not data:
         raise ValueError("empty graph6 string")
-    if min(data) < 63 or max(data) > 126:
+    if data.translate(None, _G6_BYTES):
         raise ValueError("graph6 byte out of range [63, 126]")
 
     if data[0] == _G6_LONG:
@@ -282,22 +293,90 @@ def from_graph6(text: str) -> SimpleGraph:
         kind = "truncated" if len(body) < nbytes else "trailing garbage in"
         raise ValueError(f"{kind} graph6 body: expected {nbytes} bytes, got {len(body)}")
 
+    # Padded to whole base64 groups with zero digits ('?'), the body decodes
+    # to the bit stream, most significant bit first in each byte; reversed,
+    # stream bit i is bit i of the little-endian buffer.
+    stream = binascii.a2b_base64(
+        (body + b"?" * (-len(body) % 4)).translate(_G6_TO_B64)
+    ).translate(_REVERSED)
     # Column v holds x(0,v) .. x(v-1,v): bits 0..v-1 of adj[v], lowest first.
-    bits = body.decode("ascii").translate(_G6_BITS)
-    adj = [0] * n
+    low = [0] * n
     start = 0
     for v in range(1, n):
-        col = int(bits[start : start + v][::-1], 2)
+        col = int.from_bytes(stream[start >> 3 : (start + v + 7) >> 3], "little")
+        low[v] = col >> (start & 7) & ((1 << v) - 1)
         start += v
-        adj[v] |= col
-        for u in iter_bits(col):
-            adj[u] |= 1 << v
-    return SimpleGraph(n, adj)
+    return SimpleGraph(n, [row | up for row, up in zip(low, _transpose(low))])
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """The transpose of the square bit matrix ``rows``: bit ``u`` of row ``v``
+    becomes bit ``v`` of row ``u``.
+
+    The rows are packed, ``w`` bytes each, into eight ints by index mod 8,
+    so row ``8R + k`` is row ``R`` of int ``k``.  Three masked swaps between
+    those ints transpose every 8 x 8 block in place (Warren, *Hacker's
+    Delight*, 7-3); the block at byte row ``R``, byte column ``C`` then
+    holds, in byte ``C`` of row ``R`` of int ``k``, bits ``8R .. 8R+7`` of
+    output row ``8C + k``, so each output row is one strided byte slice.
+    Besides the result, this holds about three packed copies of the matrix.
+    """
+    n = len(rows)
+    w = (n + 7) >> 3
+    padded = rows + [0] * (8 * w - n)
+    ints = [
+        int.from_bytes(b"".join([r.to_bytes(w, "little") for r in padded[k::8]]), "little")
+        for k in range(8)
+    ]
+    for j, pattern in _SWAP_MASKS:
+        # Swap bit c of row 8R+k with bit c-j of row 8R+k+j, for k and c
+        # with bit j clear in k and set in c.
+        mask = int.from_bytes(pattern * (w * w), "little")
+        for k in range(8):
+            if not k & j:
+                t = (ints[k] >> j ^ ints[k + j]) & mask
+                ints[k + j] ^= t
+                ints[k] ^= t << j
+        del mask, t
+    packed = [m.to_bytes(w * w, "little") for m in ints]
+    del ints
+    return [int.from_bytes(packed[u & 7][u >> 3 :: w], "little") for u in range(n)]
 
 
 # ---------------------------------------------------------------- edge text
 
 _P_HEADER = re.compile(r"(?:#\s*)?p=(\d+)")
+# the line breaks of str.splitlines ("\r\n" counts as one)
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# One line as str.splitlines cuts it, group 1 without its break; finditer
+# reads them lazily, and may add a blank line after the last one.
+_LINE = re.compile(rf"([^{_BREAKS}]*)(?:\r\n|[{_BREAKS}]|\Z)")
+_COMMENT = re.compile(rf"#[^{_BREAKS}]*")
+# A line other than a blank, a comment or "u v" with digits, blanks and
+# tabs, optionally with a trailing comment; '\r' ends a "\r\n" line break.
+_ODD_LINE = re.compile(
+    rf"^(?![ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?(?:#[^{_BREAKS}]*)?\r?$)", re.M
+)
+
+
+def _edge_line(raw: str, lineno: int) -> tuple[int, ...]:
+    """The endpoints on one edge-text line, or ``()`` for a blank or comment
+    line; raises ``ValueError`` naming the line if it holds no edge."""
+    line = raw.split("#", 1)[0].strip()
+    if not line:
+        return ()
+    parts = line.split()
+    if len(parts) != 2:
+        raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: non-integer endpoint in {raw!r}") from exc
+    if u < 0 or v < 0:
+        raise ValueError(f"line {lineno}: negative vertex index")
+    if u == v:
+        raise ValueError(f"line {lineno}: loop at vertex {u}")
+    return u, v
 
 
 def to_edge_text(g: SimpleGraph) -> str:
@@ -314,29 +393,32 @@ def from_edge_text(text: str) -> SimpleGraph:
     without a header yields the empty graph on zero vertices.  A header count
     below ``max index + 1``, or a count above 258047, raises ``ValueError``.
     """
-    edges: list[tuple[int, int]] = []
-    top = -1
     count = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if count is None and not edges and (header := _P_HEADER.fullmatch(raw.strip())):
+    body, first = "", 1
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        raw = line.group(1)
+        if count is None and (header := _P_HEADER.fullmatch(raw.strip())):
             count = int(header.group(1))
-            continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+        elif raw.split("#", 1)[0].strip():
+            body, first = text[line.start() :], lineno
+            break
+
+    ends = None
+    if not _ODD_LINE.search(body):
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer endpoint in {raw!r}") from exc
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: negative vertex index")
-        if u == v:
-            raise ValueError(f"line {lineno}: loop at vertex {u}")
-        top = max(top, u, v)
-        edges.append((u, v))
+            ends = list(map(int, _COMMENT.sub("", body).split()))
+        except ValueError:  # a number longer than int() reads
+            pass
+    if ends is None or True in map(eq, ends[::2], ends[1::2]):
+        # A malformed line, a loop, or a line only int() reads ('+3', '1_0',
+        # other blanks): judge each line, which raises the first error.
+        ends = [
+            end
+            for lineno, raw in enumerate(body.splitlines(), start=first)
+            for end in _edge_line(raw, lineno)
+        ]
+
+    top = max(ends, default=-1)
     if count is None:
         count = top + 1
     elif count < top + 1:
@@ -345,7 +427,12 @@ def from_edge_text(text: str) -> SimpleGraph:
         )
     if count > _MAX_ORDER:
         raise ValueError(f"graph order {count} is above the supported maximum {_MAX_ORDER}")
-    return SimpleGraph.from_edges(count, edges)
+    adj = [0] * count
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return SimpleGraph(count, adj)
 
 
 def write_graph_file(g: SimpleGraph, path: str, fmt: str = "g6") -> None:
@@ -369,8 +456,8 @@ def read_graph_file(path: str) -> SimpleGraph:
     """
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    for found in _LINE.finditer(text):
+        line = found.group(1).split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()

@@ -17,6 +17,7 @@ Contents:
                                 test per host.
 * ``exhaustive_ex``          -- ex(p;T) by scanning every labeled host.
 * ``random_host_edges`` / ``random_tree_edges`` -- randomized instances.
+* ``edge_text_per_line``     -- the edge-text parser, one line at a time.
 * ``SMALL_TREES``            -- every tree on at most 5 vertices, one
                                 representative per isomorphism class.
 """
@@ -25,11 +26,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 __all__ = [
     "SMALL_TREES",
     "adjacency_sets",
     "all_masks",
+    "edge_text_per_line",
     "edges_of_mask",
     "embeds_pruned",
     "exhaustive_ex",
@@ -200,3 +203,48 @@ def random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     u, v = (v for v in range(n) if degree[v] == 1)
     edges.append((u, v))
     return edges
+
+
+_P_HEADER = re.compile(r"(?:#\s*)?p=(\d+)")
+
+
+def edge_text_per_line(text: str) -> tuple[int, set[tuple[int, int]]]:
+    """``(order, edges)`` of an edge-text graph, each edge as ``(min, max)``,
+    read one line at a time; raises ``ValueError`` with the same message as
+    ``turantrees.graphs.from_edge_text`` for every malformed text.
+
+    A ``p=<count>`` or ``# p=<count>`` line before the first edge gives the
+    order, else it is the largest index + 1; the order is at most 258047.
+    """
+    edges: list[tuple[int, int]] = []
+    top = -1
+    count = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if count is None and not edges and (header := _P_HEADER.fullmatch(raw.strip())):
+            count = int(header.group(1))
+            continue
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: non-integer endpoint in {raw!r}") from exc
+        if u < 0 or v < 0:
+            raise ValueError(f"line {lineno}: negative vertex index")
+        if u == v:
+            raise ValueError(f"line {lineno}: loop at vertex {u}")
+        top = max(top, u, v)
+        edges.append((u, v))
+    if count is None:
+        count = top + 1
+    elif count < top + 1:
+        raise ValueError(
+            f"header p={count} is below the largest vertex index + 1 ({top + 1})"
+        )
+    if count > 258047:
+        raise ValueError(f"graph order {count} is above the supported maximum 258047")
+    return count, {(min(u, v), max(u, v)) for u, v in edges}

@@ -13,7 +13,7 @@ import pytest
 from turantrees import cli
 from turantrees.cli import eval_nexpr, main
 from turantrees.formulas import extremal_value
-from turantrees.graphs import SimpleGraph, read_graph_file, to_graph6
+from turantrees.graphs import SimpleGraph, read_graph_file, to_edge_text, to_graph6
 from turantrees.trees import path, star, t3, tpp, tppp
 
 SCHEMA = json.loads(
@@ -162,6 +162,15 @@ def test_check_complete_host_contains(capsys, tmp_path):
     assert code == 0 and rep["contains"] is False
 
 
+def test_check_report_times_read_search_and_witness(capsys, tmp_path):
+    host = tmp_path / "k15.edges"
+    host.write_text(f"# p=15\n{to_edge_text(SimpleGraph.complete(15))}")
+    code, rep = run_cli(capsys, "check", str(host), "t3:15")  # validated
+    assert code == 0 and rep["witness_valid"] is True
+    assert set(rep["timing"]) == {"read_s", "search_s", "witness_s"}
+    assert all(seconds >= 0 for seconds in rep["timing"].values())
+
+
 def test_check_explicit_tree_from_file(capsys, tmp_path):
     tree_file = tmp_path / "tree.edges"
     tree_file.write_text("0 1\n1 2\n")
@@ -293,6 +302,17 @@ def test_verify_oracle_suite(capsys):
     assert oracle["all_equal"] is True
     assert len(oracle["rows"]) == 20
     assert all(row["equal"] for row in oracle["rows"])
+
+
+@pytest.mark.parametrize("n", [44, 50])
+def test_verify_evaluates_each_closed_form_once(capsys, n):
+    # per family: every p in n..6n, and the recurrence's look-back p - (n-1)
+    # for p >= 2n - 6
+    keys = set(range(n, 6 * n + 1)) | {p - (n - 1) for p in range(2 * n - 6, 6 * n + 1)}
+    extremal_value.cache_clear()
+    code, rep = _report(capsys, "verify", "--n", f"{n}..{n}", "--p", "n..6n")
+    assert code == 0 and rep["ok"]
+    assert extremal_value.cache_info().misses == 3 * len(keys)
 
 
 def test_verify_empty_range_exits_2(capsys):

@@ -13,13 +13,14 @@ from turantrees.graphs import (
     SimpleGraph,
     from_edge_text,
     from_graph6,
+    iter_bits,
     read_graph_file,
     to_edge_text,
     to_graph6,
     write_graph_file,
 )
 
-from reference import pair_slots
+from reference import edge_text_per_line, pair_slots
 
 
 def graph_from_mask(p: int, mask: int) -> SimpleGraph:
@@ -261,6 +262,43 @@ def test_graph6_codec_matches_per_bit_codec():
         assert from_graph6(text[:head] + body.decode("ascii")) == expected
 
 
+# Orders on both sides of the long-header switch (62/63) and of powers of
+# two up to 1024; the decoder's transpose pads its rows to whole bytes.
+DECODER_ORDERS = [*range(0, 10), *range(62, 66), 127, 128, 129, 255, 256, 257, 1025]
+
+
+@pytest.mark.parametrize("density", [0, 0.5, 1])
+def test_graph6_decoder_matches_per_bit_decoder(density):
+    rng = random.Random(f"g6-{density}")
+    for n in DECODER_ORDERS:
+        nbytes = -(-(n * (n - 1) // 2) // 6)
+        if density == 0.5:
+            body = bytes(rng.randrange(63, 127) for _ in range(nbytes))
+        else:
+            body = bytes([63 + 63 * density]) * nbytes
+        head = to_graph6(SimpleGraph.empty(n))[: 1 if n <= 62 else 4]
+        g = from_graph6(head + body.decode("ascii"))
+        assert g == graph6_body_per_bit(n, body), n
+        if density != 0.5:
+            assert g == (SimpleGraph.complete(n) if density else SimpleGraph.empty(n))
+
+
+def test_graph6_rejects_every_byte_outside_the_range_at_any_position():
+    good = to_graph6(random_graph(random.Random(7), 20))
+    body = len(good) - 1
+    for byte in [*range(0, 63), *range(127, 256)]:
+        for pos in (1, 1 + body // 2, body):
+            text = good[:pos] + chr(byte) + good[pos + 1 :]
+            if chr(byte).isspace() and pos == body:
+                message = "truncated"  # stripped as trailing whitespace
+            elif byte > 127:
+                message = "ascii"  # not ASCII: the encode step names the codec
+            else:
+                message = "byte out of range"
+            with pytest.raises(ValueError, match=message):
+                from_graph6(text)
+
+
 def test_graph6_encoder_memory_is_linear_in_the_pairs():
     # the bit stream needs about 2 bytes per vertex pair; a string per
     # six-bit group needed 13
@@ -294,6 +332,50 @@ def test_edge_text_rejects_bad_lines():
         from_edge_text("-1 2")
     with pytest.raises(ValueError, match="loop"):
         from_edge_text("3 3")
+
+
+# Edge-text lines of every kind the parser meets: blanks, comments, both
+# header forms, edges with tabs and trailing comments, and the malformed
+# kinds.  Vertex indices run on both sides of the order bound 258047.
+_index = st.one_of(st.integers(0, 12), st.integers(258045, 258048))
+_blank = st.sampled_from(["", "  ", "\t", " \t "])
+_comment = st.sampled_from(["#", "# note", "  # 3 4", "#p"])
+_header = st.builds(
+    "{}p={}".format, st.sampled_from(["", "# ", "#", " #\t"]),
+    st.one_of(st.integers(0, 14), st.integers(258046, 258048)),
+)
+_edge = st.builds(
+    "{}{}{}{}{}".format, st.sampled_from(["", " ", "\t"]), _index,
+    st.sampled_from([" ", "\t", " \t "]), _index,
+    st.sampled_from(["", " ", "\t", " # end", "#x"]),
+)
+_malformed = st.one_of(
+    st.builds("{} {} {}".format, _index, _index, _index),  # three tokens
+    st.sampled_from(["a b", "1 x", "1.5 2", "3", "0 1z", "p=3 # late"]),
+    st.builds("-{} {}".format, st.integers(1, 9), _index),  # negative
+    st.builds("{0} {0}".format, _index),  # loop
+    st.sampled_from(["+3 4", "1_0 2", "-0 5", "\x1f0 1"]),  # odd but valid
+)
+_line = st.one_of(_blank, _comment, _header, _edge, _edge, _edge, _malformed)
+
+
+@given(st.lists(st.tuples(_line, st.sampled_from(["\n", "\r\n"])), max_size=12),
+       st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_edge_text_parser_matches_per_line_reference(lines, trailing_break):
+    text = "".join(line + brk for line, brk in lines)
+    if lines and not trailing_break:
+        text = text[: -len(lines[-1][1])]
+    try:
+        expected = edge_text_per_line(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            from_edge_text(text)
+        assert str(raised.value) == str(exc)
+        return
+    g = from_edge_text(text)
+    edges = {(u, w) for u, row in enumerate(g.adj) if row for w in iter_bits(row) if u < w}
+    assert (g.n, edges) == expected
 
 
 def test_file_round_trip_and_sniffing(tmp_path):
