@@ -179,6 +179,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
         "value": res.value,
         "exact": res.exact,
         "budget_reason": res.budget_reason,
+        "seed": {"edges": res.seed_edges, "host": res.seed_host},
         "nodes": res.nodes,
         "elapsed": round(res.elapsed, 6),
         "threads": res.threads,

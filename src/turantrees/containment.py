@@ -418,9 +418,11 @@ def verify_witness(g: SimpleGraph, t: SimpleGraph, witness: tuple[int, ...]) -> 
 
 # ---------------------------------------------------------------- oracle hook
 
-def edge_anchored_contexts(t: SimpleGraph) -> list[TreeEmbedContext]:
+@lru_cache(maxsize=64)
+def edge_anchored_contexts(t: SimpleGraph) -> tuple[TreeEmbedContext, ...]:
     """One context per orbit of directed tree edges ``(a, b)`` under the
-    tree's automorphisms, with ``a, b`` pinned as the first two placements.
+    tree's automorphisms, with ``a, b`` pinned as the first two placements;
+    built once per tree.
 
     Used for incremental containment: a new embedding appearing after adding
     host edge ``{x, y}`` must map some tree edge onto it, in one of the two
@@ -436,13 +438,13 @@ def edge_anchored_contexts(t: SimpleGraph) -> list[TreeEmbedContext]:
         for seeds in ([a, b], [b, a]):
             ctx, forms = _prepare_context(t, seeds, intern)
             orbits.setdefault(forms, ctx)
-    return list(orbits.values())
+    return tuple(orbits.values())
 
 
 def contains_through_edge(
     hadj: list[int],
     hdeg: list[int],
-    contexts: list[TreeEmbedContext],
+    contexts: tuple[TreeEmbedContext, ...],
     x: int,
     y: int,
 ) -> bool:

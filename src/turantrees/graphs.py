@@ -43,6 +43,7 @@ __all__ = [
     "from_edge_text",
     "to_edge_text",
     "read_graph_file",
+    "read_text_file",
     "write_graph_file",
     "iter_bits",
 ]
@@ -447,15 +448,44 @@ def write_graph_file(g: SimpleGraph, path: str, fmt: str = "g6") -> None:
         fh.write(payload)
 
 
+def read_text_file(path: str) -> str:
+    """The text of the graph or tree file ``path``, in ASCII.
+
+    The file is read as ASCII first.  Otherwise it must be UTF-8 text whose
+    non-ASCII characters all lie inside ``#`` comments; each of them reads
+    as ``?``.  Any other file raises ``ValueError`` naming the first line
+    that breaks the rule.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        pass
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte is valid UTF-8; "." counts its last line
+        lineno = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ValueError(f"line {lineno}: not UTF-8 text") from None
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        if not _COMMENT.sub("", line.group(0)).isascii():
+            raise ValueError(
+                f"line {lineno}: non-ASCII character outside a '#' comment"
+            )
+    return text.encode("ascii", "replace").decode("ascii")
+
+
 def read_graph_file(path: str) -> SimpleGraph:
-    """Read a graph from ``path``, sniffing the format.
+    """Read a graph from ``path`` (see ``read_text_file``), sniffing the
+    format.
 
     A first non-comment line holding two whitespace-separated integers or a
     ``p=<count>`` header is treated as edge text; anything else is parsed as
     graph6 (whose bytes never include ``=``).
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    text = read_text_file(path)
     for found in _LINE.finditer(text):
         line = found.group(1).split("#", 1)[0].strip()
         if not line:

@@ -3,7 +3,7 @@
 ``ex_bruteforce`` maximizes edges over all graphs on ``p`` labeled vertices
 that avoid a given tree, by depth-first search over the edge slots in
 lexicographic order (all slots at vertex 0 first), include-branch first.
-Four exact prunes keep it fast:
+Five exact prunes keep it fast:
 
 * **Incremental containment** -- the partial graph is kept avoider-safe at
   every step: an edge is included only if no embedding of the tree maps one
@@ -37,10 +37,23 @@ Four exact prunes keep it fast:
   So the search finds the same value and the same witness.  Split runs
   break ties by frontier order, which is the same include-first order, so
   they agree.
+* **Seeded incumbent** (Land and Doig, *Econometrica* 1960) -- the search,
+  its frontier and every worker start from the larger edge count of two
+  tree-free hosts (``_seed``): the clique union of ``K_{n-1}`` blocks, no
+  component of which holds the tree, and ``near_regular(p, D - 1)``, whose
+  degrees stay below the tree's maximum degree ``D``.  Only a host with at
+  least that many edges is recorded, so the capacity bound cuts from the
+  first node.  The first optimum in include-first order has at least the
+  seed's edge count, so no cut removes it before it is found: the value
+  and the witness are unchanged and only the node count falls.
+
+The tree's anchored contexts (``edge_anchored_contexts``) are prepared once
+per tree and shared by every search on it.
 
 Budgets (node count and wall-clock) abort the search by exception; the
 result is then flagged ``exact=False`` and carries the incumbent as a lower
-bound.  With ``threads > 1`` the slot tree is split at a fixed depth into a
+bound, or the seed host when the search had not beaten it.  With
+``threads > 1`` the slot tree is split at a fixed depth into a
 deterministic frontier of subproblems spread over worker processes, at
 most one per CPU; values combine by max, so the reported value is
 independent of scheduling and of the thread count.
@@ -54,10 +67,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import SimpleGraph
-from .trees import TreeFamily, realize
+from .constructions import clique_union, near_regular
 from .containment import TreeEmbedContext, contains_through_edge, edge_anchored_contexts
 from .formulas import extremal_value
+from .graphs import SimpleGraph
+from .trees import TreeFamily, realize
 
 __all__ = [
     "OracleResult",
@@ -85,7 +99,9 @@ class OracleResult:
     """Outcome of a brute-force run.  ``exact=False`` means a budget was hit
     and ``value`` is only a lower bound; ``budget_reason`` then names the
     budget ("node budget exhausted" or "time budget exhausted"), and is
-    None for an exact run."""
+    None for an exact run.  ``seed_edges`` is the edge count of the known
+    tree-free host the search had to beat, and ``seed_host`` its kind
+    ("clique-union" or "near-regular")."""
 
     p: int
     value: int
@@ -95,6 +111,8 @@ class OracleResult:
     elapsed: float
     threads: int
     budget_reason: str | None
+    seed_edges: int
+    seed_host: str
 
 
 # ---------------------------------------------------------------- search core
@@ -111,10 +129,11 @@ class _BruteForce:
     def __init__(
         self,
         p: int,
-        contexts: list[TreeEmbedContext],
+        contexts: tuple[TreeEmbedContext, ...],
         tree_n: int,
         budget_nodes: int,
         deadline: float,
+        floor: int,
     ):
         self.p = p
         self.slots = [(u, v) for u in range(p) for v in range(u + 1, p)]
@@ -123,7 +142,7 @@ class _BruteForce:
         self.rows = [0] * p
         self.deg = [0] * p
         self.m = 0
-        self.best = -1
+        self.best = floor - 1  # only a host with at least ``floor`` edges counts
         self.best_rows: list[int] | None = None
         self.best_tag = -1
         self.tag = 0
@@ -175,7 +194,7 @@ class _BruteForce:
         # two units of remaining degree capacity.  The slack is the sum of
         # ``deg[0] - d`` over all degrees (every term >= 0), and the degrees
         # sum to ``2 * m``.
-        remaining = self.stop - i
+        remaining = len(self.slots) - i
         if i >= self.p - 1:
             slack = self.p * self.deg[0] - 2 * self.m
             remaining = min(remaining, slack // 2)
@@ -226,10 +245,9 @@ def _search(bf: _BruteForce, start_slot: int) -> str | None:
 
 def _worker_run(args: tuple) -> tuple[int, list[int] | None, int, int, str | None]:
     """Run the search below a batch of frontier states (child process)."""
-    p, tree_edges, states, start_slot, budget_nodes, deadline = args
+    p, tree_edges, states, start_slot, budget_nodes, deadline, floor = args
     t = SimpleGraph.from_edges(max(max(e) for e in tree_edges) + 1, tree_edges)
-    contexts = edge_anchored_contexts(t)
-    bf = _BruteForce(p, contexts, t.n, budget_nodes, deadline)
+    bf = _BruteForce(p, edge_anchored_contexts(t), t.n, budget_nodes, deadline, floor)
     reason = None
     for tag, (rows, deg, m) in states:
         bf.tag = tag
@@ -240,27 +258,58 @@ def _worker_run(args: tuple) -> tuple[int, list[int] | None, int, int, str | Non
     return bf.best, bf.best_rows, bf.nodes, bf.best_tag, reason
 
 
+def _seed(p: int, t: SimpleGraph) -> tuple[int, str]:
+    """The floor of the search for the tree ``t`` on ``p >= t.n`` vertices:
+    the larger edge count of two ``t``-free hosts, and the kind of that host.
+
+    ``clique_union(k, n, r)`` with ``p = k (n - 1) + r`` has no component of
+    ``n`` vertices, and ``near_regular(p, D - 1)`` no vertex of the tree's
+    maximum degree ``D``.  Ties go to the near-regular host, which is also
+    the only one for ``n = 2`` (the empty host).
+    """
+    n = t.n
+    k, r = divmod(p, n - 1)
+    cliques = k * comb(n - 1, 2) + comb(r, 2)
+    regular = (t.max_degree() - 1) * p // 2
+    if cliques > regular:
+        return cliques, "clique-union"
+    return regular, "near-regular"
+
+
+def _seed_host(p: int, t: SimpleGraph, host: str) -> SimpleGraph:
+    """The host of kind ``host`` that ``_seed(p, t)`` counts."""
+    if host == "clique-union":
+        k, r = divmod(p, t.n - 1)
+        return clique_union(k, t.n, r)
+    return near_regular(p, t.max_degree() - 1)
+
+
 def _result(
     p: int,
-    best: int,
+    t: SimpleGraph,
+    seed: tuple[int, str],
     rows: list[int] | None,
     reason: str | None,
     nodes: int,
     started: float,
     threads: int,
 ) -> OracleResult:
-    """The outcome of a search whose incumbent is ``best`` with adjacency
-    ``rows`` (the empty host when nothing was found); ``reason`` is the
-    message of the budget that ran out, or None for an exact search."""
+    """The outcome of a search whose incumbent has adjacency ``rows``, or
+    None when nothing beat the seed host (only when a budget ran out), which
+    is then the witness; ``reason`` is the message of the budget that ran
+    out, or None for an exact search."""
+    witness = SimpleGraph(p, list(rows)) if rows is not None else _seed_host(p, t, seed[1])
     return OracleResult(
         p=p,
-        value=max(best, 0),
+        value=witness.edge_count(),
         exact=reason is None,
-        witness=SimpleGraph(p, list(rows) if rows is not None else [0] * p),
+        witness=witness,
         nodes=nodes,
         elapsed=time.monotonic() - started,
         threads=threads,
         budget_reason=reason,
+        seed_edges=seed[0],
+        seed_host=seed[1],
     )
 
 
@@ -279,7 +328,8 @@ def ex_bruteforce(
     Requires ``p >= 1``.  When the tree has more vertices than the host, the
     complete graph is the (trivial) maximizer; otherwise the search requires
     ``p <= MAX_ORACLE_ORDER``.  Budgets: ``budget_nodes`` (default 10**8
-    per search/worker) and ``budget_seconds`` (default 60).
+    per search/worker) and ``budget_seconds`` (default 60).  A search that a
+    budget stops is never below the seed host (``_seed``).
     """
     if p < 1:
         raise ValueError(f"ex_bruteforce requires p >= 1 (got p={p})")
@@ -291,7 +341,9 @@ def ex_bruteforce(
 
     started = time.monotonic()
     if t.n > p:
-        return _result(p, comb(p, 2), SimpleGraph.complete(p).adj, None, 0, started, threads)
+        # K_p is a clique union: no component has the tree's order.
+        seed = (comb(p, 2), "clique-union")
+        return _result(p, t, seed, SimpleGraph.complete(p).adj, None, 0, started, threads)
 
     if p > MAX_ORACLE_ORDER:
         raise ValueError(
@@ -302,16 +354,18 @@ def ex_bruteforce(
     seconds = DEFAULT_BUDGET_SECONDS if budget_seconds is None else budget_seconds
     deadline = started + seconds
     contexts = edge_anchored_contexts(t)
+    seed = _seed(p, t)
+    floor = seed[0]
 
     if threads == 1:
-        bf = _BruteForce(p, contexts, t.n, nodes_budget, deadline)
+        bf = _BruteForce(p, contexts, t.n, nodes_budget, deadline, floor)
         reason = _search(bf, 0)
-        return _result(p, bf.best, bf.best_rows, reason, bf.nodes, started, 1)
+        return _result(p, t, seed, bf.best_rows, reason, bf.nodes, started, 1)
 
     # Parallel: enumerate a deterministic frontier, then fan out.
     n_slots = p * (p - 1) // 2
     depth = min(n_slots, (threads - 1).bit_length() + 3)
-    gen = _BruteForce(p, contexts, t.n, nodes_budget, deadline)
+    gen = _BruteForce(p, contexts, t.n, nodes_budget, deadline, floor)
     gen.stop = depth
     gen.collect = []
     gen_reason = _search(gen, 0)
@@ -319,7 +373,7 @@ def ex_bruteforce(
         # Tiny instance (the frontier depth covers every slot, so the
         # generator already exhausted the space) or the budget died during
         # frontier generation: the generator's incumbent is the result.
-        return _result(p, gen.best, gen.best_rows, gen_reason, gen.nodes, started, threads)
+        return _result(p, t, seed, gen.best_rows, gen_reason, gen.nodes, started, threads)
     states = [(tag, st) for tag, st in enumerate(gen.collect)]
 
     batches: list[list] = [[] for _ in range(threads)]
@@ -327,7 +381,7 @@ def ex_bruteforce(
         batches[tag % threads].append((tag, st))
     tree_edges = list(t.edges())
     jobs = [
-        (p, tree_edges, batch, depth, nodes_budget, deadline)
+        (p, tree_edges, batch, depth, nodes_budget, deadline, floor)
         for batch in batches
         if batch
     ]
@@ -338,7 +392,7 @@ def ex_bruteforce(
         for res in pool.map(_worker_run, jobs):
             results.append(res)
 
-    best, best_rows, best_tag = -1, None, -1
+    best, best_rows, best_tag = floor - 1, None, -1
     total_nodes = gen.nodes
     reason = None
     for w_best, w_rows, w_nodes, w_tag, w_reason in results:
@@ -346,7 +400,7 @@ def ex_bruteforce(
         reason = reason or w_reason
         if w_best > best or (w_best == best and 0 <= w_tag < best_tag):
             best, best_rows, best_tag = w_best, w_rows, w_tag
-    return _result(p, best, best_rows, reason, total_nodes, started, threads)
+    return _result(p, t, seed, best_rows, reason, total_nodes, started, threads)
 
 
 def verify_formula(
@@ -380,6 +434,7 @@ def verify_formula(
                 "exact": res.exact,
                 "budget_reason": res.budget_reason,
                 "nodes": res.nodes,
+                "seed": {"edges": res.seed_edges, "host": res.seed_host},
             }
         )
     return {"rows": rows, "all_equal": all_equal}

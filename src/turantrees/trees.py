@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import SimpleGraph, from_edge_text
+from .graphs import SimpleGraph, from_edge_text, read_text_file
 
 __all__ = [
     "TreeFamily",
@@ -135,8 +135,7 @@ def parse_family_spec(spec: str) -> TreeFamily:
     if not sep:
         raise ValueError(f"bad family spec {spec!r}: expected '<tag>:<arg>'")
     if tag == "file":
-        with open(arg, "r", encoding="ascii") as fh:
-            g = from_edge_text(fh.read())
+        g = from_edge_text(read_text_file(arg))
         return explicit_tree(list(g.edges()))
     try:
         value = int(arg)

@@ -17,6 +17,7 @@ Contents:
                                 test per host.
 * ``exhaustive_ex``          -- ex(p;T) by scanning every labeled host.
 * ``random_host_edges`` / ``random_tree_edges`` -- randomized instances.
+* ``pruefer_tree_edges``     -- the labeled tree of a Pruefer sequence.
 * ``edge_text_per_line``     -- the edge-text parser, one line at a time.
 * ``SMALL_TREES``            -- every tree on at most 5 vertices, one
                                 representative per isomorphism class.
@@ -41,6 +42,7 @@ __all__ = [
     "masks_contain",
     "mask_of_edges",
     "pair_slots",
+    "pruefer_tree_edges",
     "random_host_edges",
     "random_tree_edges",
 ]
@@ -95,8 +97,11 @@ def _bfs_order(tree_n: int, tree_edges) -> list[int]:
 
 def embeds_pruned(p: int, host_edges, tree_n: int, tree_edges) -> bool:
     """Same decision as ``injection_contains`` but placing tree vertices in
-    BFS order and only extending along host edges.  Still a plain set-based
-    enumeration of partial injections; usable up to host order ~9."""
+    BFS order, only extending along host edges, and only onto host vertices
+    of at least the tree vertex's degree (an embedding maps the tree
+    vertex's neighbours to distinct host neighbours).  Still a plain
+    set-based enumeration of partial injections; usable up to host order
+    ~9."""
     if tree_n > p:
         return False
     if not tree_edges:
@@ -112,6 +117,7 @@ def embeds_pruned(p: int, host_edges, tree_n: int, tree_edges) -> bool:
         t = order[i]
         anchored = [place[w] for w in tadj[t] if w in place]
         pool = set.intersection(*(adj[h] for h in anchored)) if anchored else set(range(p))
+        pool = {h for h in pool if len(adj[h]) >= len(tadj[t])}
         for h in sorted(pool - set(place.values())):
             place[t] = h
             if extend(i + 1):
@@ -188,9 +194,14 @@ def random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     """Uniform random labeled tree on n >= 1 vertices via Pruefer decoding."""
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
-    seq = [rng.randrange(n) for _ in range(n - 2)]
+    return pruefer_tree_edges(n, [rng.randrange(n) for _ in range(n - 2)])
+
+
+def pruefer_tree_edges(n: int, seq) -> list[tuple[int, int]]:
+    """The labeled tree on n >= 2 vertices with Pruefer sequence ``seq``
+    (n - 2 entries in ``range(n)``), each edge as ``(min, max)``; every
+    sequence gives a different tree, so ``itertools.product(range(n),
+    repeat=n - 2)`` yields every labeled tree once."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1

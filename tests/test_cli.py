@@ -180,6 +180,24 @@ def test_check_explicit_tree_from_file(capsys, tmp_path):
     assert code == 0 and rep["contains"] is True
 
 
+def test_non_ascii_text_only_in_comments(capsys, tmp_path):
+    host = tmp_path / "host.edges"
+    host.write_bytes("0 1\n1 2 # café\n".encode("utf-8"))
+    tree = tmp_path / "tree.edges"
+    tree.write_bytes("# arbre à trois sommets\n0 1\n1 2\n".encode("utf-8"))
+    code, rep = run_cli(capsys, "check", str(host), f"file:{tree}")
+    assert code == 0 and rep["contains"] is True
+    for data, message in (
+        ("0 1\n1 2 café\n".encode("utf-8"), "line 2: non-ASCII character outside a '#' comment"),
+        ("0 1\n١ 2\n".encode("utf-8"), "line 2: non-ASCII character outside a '#' comment"),
+        (b"0 1\n1 2\n2 3 # caf\xe9\n", "line 3: not UTF-8 text"),
+    ):
+        host.write_bytes(data)
+        for argv in (("check", str(host), "path:3"), ("check", str(tree), f"file:{host}")):
+            code, rep = run_cli(capsys, *argv)
+            assert code == 2 and rep["error"] == message, (data, argv)
+
+
 def test_check_missing_file_exits_2(capsys):
     code, rep = run_cli(capsys, "check", "/nonexistent.g6", "t3:15")
     assert code == 2
@@ -233,6 +251,23 @@ def test_budget_reason_in_oracle_reports(capsys):
     assert any(not row["exact"] for row in rows) and any(row["exact"] for row in rows)
     for row in rows:
         assert row["budget_reason"] == (None if row["exact"] else "node budget exhausted")
+
+
+def test_oracle_reports_its_seed(capsys):
+    # the report alone shows what the search had to beat; run_cli checks
+    # the schema, which requires the seed in both reports
+    _, rep = run_cli(capsys, "oracle", "8", "path:4")
+    assert rep["seed"] == {"edges": 7, "host": "clique-union"}
+    _, rep = run_cli(capsys, "oracle", "8", "star:3", "--budget-nodes", "1")
+    assert rep["exact"] is False
+    assert rep["seed"] == {"edges": 8, "host": "near-regular"}
+    assert rep["value"] == 8
+    _, rep = run_cli(capsys, "oracle", "4", "t3:15")
+    assert rep["seed"] == {"edges": 6, "host": "clique-union"}
+    _, rep = run_cli(capsys, "verify", "--n", "15..15", "--p", "n", "--oracle")
+    for row in rep["results"]["oracle"]["rows"]:
+        assert row["seed"]["host"] in ("clique-union", "near-regular")
+        assert row["seed"]["edges"] <= row["oracle"]
 
 
 def test_oracle_no_formula_family(capsys, tmp_path):

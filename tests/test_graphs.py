@@ -15,6 +15,7 @@ from turantrees.graphs import (
     from_graph6,
     iter_bits,
     read_graph_file,
+    read_text_file,
     to_edge_text,
     to_graph6,
     write_graph_file,
@@ -427,3 +428,33 @@ def test_sniffer_reads_header_only_files(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("p=4\n")
     assert read_graph_file(str(path)) == SimpleGraph.empty(4)
+
+
+def test_utf8_comments_are_ignored(tmp_path):
+    # the line breaks and every character outside a comment are ASCII, so
+    # each comment character reads as '?' and no line moves
+    path = tmp_path / "g.edges"
+    path.write_bytes("# p=5 — hôte\r\n0 1 # café\r\n1 2\n".encode("utf-8"))
+    assert read_text_file(str(path)) == "# p=5 ? h?te\r\n0 1 # caf?\r\n1 2\n"
+    assert read_graph_file(str(path)) == SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
+    path.write_bytes("# p=5\n0 1 # café\n".encode("utf-8"))
+    assert read_graph_file(str(path)) == SimpleGraph.from_edges(5, [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "data,line",
+    [
+        ("0 1\n1 2 café\n".encode("utf-8"), 2),
+        ("0 1\n١ ٢\n".encode("utf-8"), 2),  # digits that int() would read
+        ("0 1 # ok\n1 2\x85 2 3\n".encode("utf-8"), 2),  # a non-ASCII line break
+        ("0 1 # é\n\n3 4 é\n".encode("utf-8"), 3),
+        (b"0 1\r\n1 2 # caf\xe9\n", 2),
+        (b"\xff\n", 1),
+        (b"0 1\n1 2\n\xc3", 3),
+    ],
+)
+def test_non_ascii_outside_comments_names_the_line(tmp_path, data, line):
+    path = tmp_path / "g.edges"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=rf"^line {line}: (non-ASCII|not UTF-8)"):
+        read_graph_file(str(path))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 from math import comb
 
@@ -207,6 +208,22 @@ def test_budget_reason_names_the_budget():
 
 # -------------------------------------------------------------- determinism
 
+class InProcessPool:
+    """A stand-in for the process pool that runs the batches in process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
 def test_single_thread_runs_are_identical():
     a = ex_bruteforce(7, path(4))
     b = ex_bruteforce(7, path(4))
@@ -241,25 +258,110 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
     # must not follow --threads; this stand-in runs the batches in process
     workers = []
 
-    class InProcessPool:
+    class CountingPool(InProcessPool):
         def __init__(self, max_workers):
             workers.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
     solo = ex_bruteforce(8, path(4))
     many = ex_bruteforce(8, path(4), threads=10_000)
     assert workers and workers[0] <= (os.cpu_count() or 1)
     assert many.exact
     assert (many.value, many.witness) == (solo.value, solo.witness)
+
+
+# ----------------------------------------------------------- seeded search
+
+def tree_form(n: int, edges) -> str:
+    """A complete isomorphism invariant of a tree: the least AHU string over
+    the roots of maximum degree (an invariant set of roots)."""
+    adj = R.adjacency_sets(n, edges)
+
+    def form(v: int, parent: int) -> str:
+        return "(" + "".join(sorted(form(w, v) for w in adj[v] if w != parent)) + ")"
+
+    top = max(map(len, adj))
+    return min(form(v, -1) for v in range(n) if len(adj[v]) == top)
+
+
+def seed_trees():
+    """Every spec tree on at most 12 vertices, then every labelled tree on
+    2..7 vertices."""
+    for n in range(2, 13):
+        yield realize(path(n))
+        yield realize(star(n - 1))
+        if n >= 6:
+            yield from (realize(maker(n)) for maker in (t3, tpp, tppp))
+    for n in range(2, 8):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            yield SimpleGraph.from_edges(n, R.pruefer_tree_edges(n, seq))
+
+
+def test_seed_hosts_are_tree_free():
+    # the floor is sound only if the seed host avoids the tree
+    checked = set()
+    for t in seed_trees():
+        n, edges = t.n, list(t.edges())
+        top = t.max_degree()
+        form = tree_form(n, edges)
+        for p in range(n, 13):
+            seed = oracle._seed(p, t)
+            k, r = divmod(p, n - 1)
+            cliques = k * comb(n - 1, 2) + comb(r, 2)
+            regular = (top - 1) * p // 2
+            assert seed[0] == max(cliques, regular), (edges, p)
+            if (form, p) in checked:
+                continue
+            checked.add((form, p))
+            g = oracle._seed_host(p, t, seed[1])
+            assert g.order == p and g.edge_count() == seed[0], (edges, p, seed)
+            # a tree embeds in a host exactly when it embeds in one component
+            for comp in g.components():
+                index = {v: i for i, v in enumerate(comp)}
+                sub = [(index[u], index[v]) for u, v in g.edges() if u in index]
+                assert not R.embeds_pruned(len(comp), sub, n, edges), (edges, p, seed)
+    assert len({form for form, _ in checked if form.count("(") <= 7}) == 24
+
+
+DESK_GRID = [
+    (p, f)
+    for f, ps in [
+        (path(4), range(4, 10)), (path(5), range(5, 9)), (path(6), range(6, 8)),
+        (star(2), range(3, 10)), (star(3), range(4, 10)), (star(4), range(5, 10)),
+        (star(5), range(6, 10)), (star(6), range(7, 10)), (star(7), range(8, 10)),
+        (star(8), range(9, 10)), (t3(6), range(6, 9)), (tpp(6), range(6, 9)),
+        (tppp(6), range(6, 8)), (t3(7), range(7, 9)), (tpp(7), range(7, 9)),
+        (tppp(7), range(7, 8)),
+    ]
+    for p in ps
+] + [(8, path(6)), (8, tppp(7)), (9, t3(7))]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_seeded_search_matches_unseeded(monkeypatch, threads):
+    # the first optimum in include-first order has at least the floor's edge
+    # count, so no cut removes it before it is found: only nodes fall
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
+    seeded = [ex_bruteforce(p, f, threads=threads) for p, f in DESK_GRID]
+    monkeypatch.setattr(oracle, "_seed", lambda p, t: (0, "near-regular"))
+    unseeded = [ex_bruteforce(p, f, threads=threads) for p, f in DESK_GRID]
+    for (p, f), a, b in zip(DESK_GRID, seeded, unseeded):
+        assert (a.value, a.exact, a.witness) == (b.value, b.exact, b.witness), (p, f)
+        assert a.nodes <= b.nodes, (p, f)
+    assert sum(a.nodes for a in seeded) < sum(b.nodes for b in unseeded)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_budget_stop_returns_the_seed_host(threads):
+    for p, f in DESK_GRID:
+        t = realize(f)
+        floor, host = oracle._seed(p, t)
+        res = ex_bruteforce(p, f, budget_nodes=1, threads=threads)
+        assert not res.exact and res.budget_reason == "node budget exhausted"
+        assert (res.seed_edges, res.seed_host) == (floor, host)
+        assert res.value >= floor
+        assert res.witness.order == p and res.witness.edge_count() == res.value
+        assert contains_tree(res.witness, f) is None, (p, f)
 
 
 # ------------------------------------------------------- formula sweep helper
@@ -272,6 +374,7 @@ def test_verify_formula_report():
         assert row["oracle"] == row["formula"]
         assert row["exact"] and row["equal"]
         assert row["nodes"] > 0
+        assert row["seed"]["edges"] <= row["oracle"]
 
 
 def test_verify_formula_flags_budget():
