@@ -12,7 +12,7 @@ Subcommands::
     construct <family> <n> <p> <out> [--connected] [--format g6|edges]
     check    <graph-path> <family-spec>          exact containment + witness
     oracle   <p> <family-spec>                   brute-force reference value
-    verify   [--n A..B] [--p EXPR[..EXPR]] [--oracle] [--threads N]
+    verify   [--n A..B] [--p EXPR[..EXPR]] [--oracle]
     table    <family> <n> <pmin> <pmax> [--csv]
 
 Family specs are colon-tagged: ``t3:15``, ``tpp:15``, ``tppp:15``,
@@ -156,14 +156,12 @@ def _cmd_check(args) -> tuple[dict, int]:
 
 
 def _cmd_oracle(args) -> tuple[dict, int]:
+    if args.threads != 1:
+        raise ValueError("the oracle search is serial: --threads must be 1")
     f = parse_family_spec(args.family_spec)
     _log(args.quiet, f"oracle: p={args.p}, family {spec_string(f)} ...")
     res = ex_bruteforce(
-        args.p,
-        f,
-        budget_nodes=args.budget_nodes,
-        budget_seconds=args.budget_seconds,
-        threads=args.threads,
+        args.p, f, budget_nodes=args.budget_nodes, budget_seconds=args.budget_seconds
     )
     try:
         formula = extremal_value(f, args.p).value
@@ -182,7 +180,6 @@ def _cmd_oracle(args) -> tuple[dict, int]:
         "seed": {"edges": res.seed_edges, "host": res.seed_host},
         "nodes": res.nodes,
         "elapsed": round(res.elapsed, 6),
-        "threads": res.threads,
         "witness_graph6": to_graph6(res.witness),
         "formula": formula,
         "equal": equal,
@@ -335,14 +332,9 @@ def _cmd_verify(args) -> tuple[dict, int]:
             f = parse_family_spec(spec)
             _log(args.quiet, f"verify: oracle sweep {spec} over p={ps}")
             rep = verify_formula(
-                f,
-                ps,
-                budget_nodes=args.budget_nodes,
-                budget_seconds=args.budget_seconds,
-                threads=args.threads,
+                f, ps, budget_nodes=args.budget_nodes, budget_seconds=args.budget_seconds
             )
             for row in rep["rows"]:
-                row.pop("nodes", None)  # thread-count dependent; not a "value"
                 row["family_spec"] = spec
                 oracle_rows.append(row)
             oracle_all_equal = oracle_all_equal and rep["all_equal"]
@@ -367,7 +359,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
             "p": args.p,
             "families": families,
             "oracle": bool(args.oracle),
-            "threads": args.threads,
         },
         "results": results,
         "counts": {"total": total, "failures": failure_count},
@@ -450,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="brute-force reference maximum")
     sp.add_argument("p", type=int, help="host order (desk scale, p <= 9ish)")
     sp.add_argument("family_spec")
-    sp.add_argument("--threads", type=int, default=1)
+    # Serial only; the flag stays because existing callers pass --threads 1.
+    sp.add_argument("--threads", type=int, default=1, help="must be 1")
     sp.add_argument("--budget-nodes", type=int, default=None)
     sp.add_argument("--budget-seconds", type=float, default=None)
 
@@ -465,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the desk-scale brute-force sweep (paths and stars)",
     )
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--budget-nodes", type=int, default=None)
     sp.add_argument("--budget-seconds", type=float, default=None)
 

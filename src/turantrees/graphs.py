@@ -483,7 +483,8 @@ def read_graph_file(path: str) -> SimpleGraph:
 
     A first non-comment line holding two whitespace-separated integers or a
     ``p=<count>`` header is treated as edge text; anything else is parsed as
-    graph6 (whose bytes never include ``=``).
+    graph6 (whose bytes never include ``=`` or ``#``) once its ``#``
+    comments are removed.
     """
     text = read_text_file(path)
     for found in _LINE.finditer(text):
@@ -495,5 +496,5 @@ def read_graph_file(path: str) -> SimpleGraph:
             len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts)
         ):
             return from_edge_text(text)
-        return from_graph6(text)
+        return from_graph6(_COMMENT.sub("", text) if "#" in text else text)
     return from_edge_text(text)  # only blanks/comments: empty graph

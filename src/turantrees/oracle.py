@@ -34,14 +34,12 @@ Five exact prunes keep it fast:
   ``w`` and ``v`` would give a tree-free host with the same edge count and
   the same vertex-0 degree that agrees with ``G`` on every slot before
   ``(u, w)`` and includes ``(u, w)``: an earlier optimum, a contradiction.
-  So the search finds the same value and the same witness.  Split runs
-  break ties by frontier order, which is the same include-first order, so
-  they agree.
-* **Seeded incumbent** (Land and Doig, *Econometrica* 1960) -- the search,
-  its frontier and every worker start from the larger edge count of two
-  tree-free hosts (``_seed``): the clique union of ``K_{n-1}`` blocks, no
-  component of which holds the tree, and ``near_regular(p, D - 1)``, whose
-  degrees stay below the tree's maximum degree ``D``.  Only a host with at
+  So the search finds the same value and the same witness.
+* **Seeded incumbent** (Land and Doig, *Econometrica* 1960) -- the search
+  starts from the larger edge count of two tree-free hosts (``_seed``):
+  the clique union of ``K_{n-1}`` blocks, no component of which holds the
+  tree, and ``near_regular(p, D - 1)``, whose degrees stay below the
+  tree's maximum degree ``D``.  Only a host with at
   least that many edges is recorded, so the capacity bound cuts from the
   first node.  The first optimum in include-first order has at least the
   seed's edge count, so no cut removes it before it is found: the value
@@ -52,18 +50,12 @@ per tree and shared by every search on it.
 
 Budgets (node count and wall-clock) abort the search by exception; the
 result is then flagged ``exact=False`` and carries the incumbent as a lower
-bound, or the seed host when the search had not beaten it.  With
-``threads > 1`` the slot tree is split at a fixed depth into a
-deterministic frontier of subproblems spread over worker processes, at
-most one per CPU; values combine by max, so the reported value is
-independent of scheduling and of the thread count.
+bound, or the seed host when the search had not beaten it.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
@@ -109,7 +101,6 @@ class OracleResult:
     witness: SimpleGraph
     nodes: int
     elapsed: float
-    threads: int
     budget_reason: str | None
     seed_edges: int
     seed_host: str
@@ -122,8 +113,7 @@ class _BruteForce:
 
     __slots__ = (
         "p", "slots", "contexts", "tree_n", "rows", "deg", "m",
-        "best", "best_rows", "best_tag", "tag", "nodes",
-        "budget_nodes", "deadline", "stop", "collect",
+        "best", "best_rows", "nodes", "budget_nodes", "deadline",
     )
 
     def __init__(
@@ -144,18 +134,9 @@ class _BruteForce:
         self.m = 0
         self.best = floor - 1  # only a host with at least ``floor`` edges counts
         self.best_rows: list[int] | None = None
-        self.best_tag = -1
-        self.tag = 0
         self.nodes = 0
         self.budget_nodes = budget_nodes
         self.deadline = deadline
-        self.stop = len(self.slots)
-        self.collect: list[tuple[list[int], list[int], int]] | None = None
-
-    def load(self, rows: list[int], deg: list[int], m: int) -> None:
-        self.rows = list(rows)
-        self.deg = list(deg)
-        self.m = m
 
     def _component_size(self, start: int) -> int:
         """Vertices reachable from ``start`` in the current partial graph."""
@@ -180,13 +161,10 @@ class _BruteForce:
         if not self.nodes & 1023 and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exhausted")
 
-        if i == self.stop:
-            if self.collect is not None and self.stop < len(self.slots):
-                self.collect.append((list(self.rows), list(self.deg), self.m))
-            elif self.m > self.best:
+        if i == len(self.slots):
+            if self.m > self.best:
                 self.best = self.m
                 self.best_rows = list(self.rows)
-                self.best_tag = self.tag
             return
 
         # Upper bound on what this subtree can still reach.  Once vertex 0's
@@ -234,30 +212,6 @@ class _BruteForce:
         self.dfs(i + 1)
 
 
-def _search(bf: _BruteForce, start_slot: int) -> str | None:
-    """Run ``bf`` from ``start_slot``; the budget message if one ran out."""
-    try:
-        bf.dfs(start_slot)
-    except BudgetExceeded as exc:
-        return str(exc)
-    return None
-
-
-def _worker_run(args: tuple) -> tuple[int, list[int] | None, int, int, str | None]:
-    """Run the search below a batch of frontier states (child process)."""
-    p, tree_edges, states, start_slot, budget_nodes, deadline, floor = args
-    t = SimpleGraph.from_edges(max(max(e) for e in tree_edges) + 1, tree_edges)
-    bf = _BruteForce(p, edge_anchored_contexts(t), t.n, budget_nodes, deadline, floor)
-    reason = None
-    for tag, (rows, deg, m) in states:
-        bf.tag = tag
-        bf.load(rows, deg, m)
-        reason = _search(bf, start_slot)
-        if reason is not None:
-            break
-    return bf.best, bf.best_rows, bf.nodes, bf.best_tag, reason
-
-
 def _seed(p: int, t: SimpleGraph) -> tuple[int, str]:
     """The floor of the search for the tree ``t`` on ``p >= t.n`` vertices:
     the larger edge count of two ``t``-free hosts, and the kind of that host.
@@ -292,7 +246,6 @@ def _result(
     reason: str | None,
     nodes: int,
     started: float,
-    threads: int,
 ) -> OracleResult:
     """The outcome of a search whose incumbent has adjacency ``rows``, or
     None when nothing beat the seed host (only when a budget ran out), which
@@ -306,7 +259,6 @@ def _result(
         witness=witness,
         nodes=nodes,
         elapsed=time.monotonic() - started,
-        threads=threads,
         budget_reason=reason,
         seed_edges=seed[0],
         seed_host=seed[1],
@@ -321,20 +273,17 @@ def ex_bruteforce(
     *,
     budget_nodes: int | None = None,
     budget_seconds: float | None = None,
-    threads: int = 1,
 ) -> OracleResult:
     """Exact maximum edge count over tree-avoiding graphs on ``p`` vertices.
 
     Requires ``p >= 1``.  When the tree has more vertices than the host, the
     complete graph is the (trivial) maximizer; otherwise the search requires
     ``p <= MAX_ORACLE_ORDER``.  Budgets: ``budget_nodes`` (default 10**8
-    per search/worker) and ``budget_seconds`` (default 60).  A search that a
+    per search) and ``budget_seconds`` (default 60).  A search that a
     budget stops is never below the seed host (``_seed``).
     """
     if p < 1:
         raise ValueError(f"ex_bruteforce requires p >= 1 (got p={p})")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1 (got {threads})")
     t = realize(f)
     if t.n == 1:
         raise ValueError("the one-vertex tree is contained in every non-empty host")
@@ -343,7 +292,7 @@ def ex_bruteforce(
     if t.n > p:
         # K_p is a clique union: no component has the tree's order.
         seed = (comb(p, 2), "clique-union")
-        return _result(p, t, seed, SimpleGraph.complete(p).adj, None, 0, started, threads)
+        return _result(p, t, seed, SimpleGraph.complete(p).adj, None, 0, started)
 
     if p > MAX_ORACLE_ORDER:
         raise ValueError(
@@ -353,54 +302,14 @@ def ex_bruteforce(
     nodes_budget = DEFAULT_BUDGET_NODES if budget_nodes is None else budget_nodes
     seconds = DEFAULT_BUDGET_SECONDS if budget_seconds is None else budget_seconds
     deadline = started + seconds
-    contexts = edge_anchored_contexts(t)
     seed = _seed(p, t)
-    floor = seed[0]
-
-    if threads == 1:
-        bf = _BruteForce(p, contexts, t.n, nodes_budget, deadline, floor)
-        reason = _search(bf, 0)
-        return _result(p, t, seed, bf.best_rows, reason, bf.nodes, started, 1)
-
-    # Parallel: enumerate a deterministic frontier, then fan out.
-    n_slots = p * (p - 1) // 2
-    depth = min(n_slots, (threads - 1).bit_length() + 3)
-    gen = _BruteForce(p, contexts, t.n, nodes_budget, deadline, floor)
-    gen.stop = depth
-    gen.collect = []
-    gen_reason = _search(gen, 0)
-    if gen_reason is not None or depth == n_slots:
-        # Tiny instance (the frontier depth covers every slot, so the
-        # generator already exhausted the space) or the budget died during
-        # frontier generation: the generator's incumbent is the result.
-        return _result(p, t, seed, gen.best_rows, gen_reason, gen.nodes, started, threads)
-    states = [(tag, st) for tag, st in enumerate(gen.collect)]
-
-    batches: list[list] = [[] for _ in range(threads)]
-    for tag, st in states:
-        batches[tag % threads].append((tag, st))
-    tree_edges = list(t.edges())
-    jobs = [
-        (p, tree_edges, batch, depth, nodes_budget, deadline, floor)
-        for batch in batches
-        if batch
-    ]
-
-    # The pool forks all its workers at the first submit: at most one per CPU.
-    results = []
-    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-        for res in pool.map(_worker_run, jobs):
-            results.append(res)
-
-    best, best_rows, best_tag = floor - 1, None, -1
-    total_nodes = gen.nodes
-    reason = None
-    for w_best, w_rows, w_nodes, w_tag, w_reason in results:
-        total_nodes += w_nodes
-        reason = reason or w_reason
-        if w_best > best or (w_best == best and 0 <= w_tag < best_tag):
-            best, best_rows, best_tag = w_best, w_rows, w_tag
-    return _result(p, t, seed, best_rows, reason, total_nodes, started, threads)
+    bf = _BruteForce(p, edge_anchored_contexts(t), t.n, nodes_budget, deadline, seed[0])
+    try:
+        bf.dfs(0)
+        reason = None
+    except BudgetExceeded as exc:
+        reason = str(exc)
+    return _result(p, t, seed, bf.best_rows, reason, bf.nodes, started)
 
 
 def verify_formula(
@@ -409,18 +318,13 @@ def verify_formula(
     *,
     budget_nodes: int | None = None,
     budget_seconds: float | None = None,
-    threads: int = 1,
 ) -> dict:
     """Compare the closed form against the oracle on each ``p``; JSON-ready."""
     rows = []
     all_equal = True
     for p in p_values:
         res = ex_bruteforce(
-            p,
-            f,
-            budget_nodes=budget_nodes,
-            budget_seconds=budget_seconds,
-            threads=threads,
+            p, f, budget_nodes=budget_nodes, budget_seconds=budget_seconds
         )
         formula = extremal_value(f, p).value
         equal = res.exact and res.value == formula

@@ -284,14 +284,44 @@ def test_parser_defaults_do_not_carry_over(capsys):
     # become the default of the next
     assert cli.main(["--quiet", "oracle", "6", "path:4"]) == 0  # warm the parser
     capsys.readouterr()
-    _, rep = run_cli(capsys, "oracle", "6", "path:4", "--threads", "2")
-    assert rep["threads"] == 2
+    _, rep = run_cli(capsys, "oracle", "6", "path:4", "--budget-nodes", "1")
+    assert rep["exact"] is False
     _, rep = run_cli(capsys, "oracle", "6", "path:4")
-    assert rep["threads"] == 1
+    assert rep["exact"] is True
     _, rep = run_cli(capsys, "verify", "--n", "15..15", "--p", "n", "--oracle")
     assert rep["params"]["oracle"] is True and "oracle" in rep["results"]
     _, rep = run_cli(capsys, "verify", "--n", "15..15", "--p", "n")
     assert rep["params"]["oracle"] is False and "oracle" not in rep["results"]
+
+
+def test_oracle_threads_flag_accepts_only_one(capsys):
+    _, plain = run_cli(capsys, "oracle", "6", "path:4")
+    _, flagged = run_cli(capsys, "oracle", "6", "path:4", "--threads", "1")
+    assert "threads" not in flagged
+    del plain["elapsed"], flagged["elapsed"]  # wall time differs run to run
+    assert flagged == plain
+    code, rep = run_cli(capsys, "oracle", "6", "path:4", "--threads", "2")
+    assert code == 2
+    assert rep["error"] == "the oracle search is serial: --threads must be 1"
+    with pytest.raises(SystemExit) as exc:
+        main(["--quiet", "verify", "--threads", "1"])
+    assert exc.value.code == 2
+
+
+def test_cli_import_starts_no_process_pool():
+    code = (
+        "import sys, turantrees.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 # --------------------------------------------------------------------- verify
@@ -337,6 +367,7 @@ def test_verify_oracle_suite(capsys):
     assert oracle["all_equal"] is True
     assert len(oracle["rows"]) == 20
     assert all(row["equal"] for row in oracle["rows"])
+    assert all(row["nodes"] > 0 for row in oracle["rows"])
 
 
 @pytest.mark.parametrize("n", [44, 50])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turantrees.cli import main
 from turantrees.graphs import (
     SimpleGraph,
     from_edge_text,
@@ -428,6 +429,19 @@ def test_sniffer_reads_header_only_files(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("p=4\n")
     assert read_graph_file(str(path)) == SimpleGraph.empty(4)
+
+
+def test_graph6_file_comments_are_ignored(tmp_path, capsys):
+    g = from_graph6("Dr{")
+    path = tmp_path / "g.g6"
+    path.write_text("# a host\nDr{\n")
+    assert read_graph_file(str(path)) == g
+    path.write_text("Dr{  # a host\n# the end\n")
+    assert read_graph_file(str(path)) == g
+    # one graph per file: a second graph line is still refused
+    path.write_text("# two hosts\nDr{\nDr{\n")
+    assert main(["--quiet", "check", str(path), "path:3"]) == 2
+    assert "graph6 byte out of range" in capsys.readouterr().err
 
 
 def test_utf8_comments_are_ignored(tmp_path):

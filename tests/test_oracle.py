@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import os
 from math import comb
 
 import pytest
@@ -66,8 +65,6 @@ def test_one_vertex_tree_rejected():
         ex_bruteforce(4, path(1))
     with pytest.raises(ValueError, match="p >= 1"):
         ex_bruteforce(0, path(2))
-    with pytest.raises(ValueError, match="threads"):
-        ex_bruteforce(4, path(2), threads=0)
 
 
 def test_host_order_bound():
@@ -200,29 +197,12 @@ def test_budget_reason_names_the_budget():
     assert ex_bruteforce(4, path(5)).budget_reason is None  # tree larger than host
     res = ex_bruteforce(9, path(5), budget_seconds=1e-4)
     assert res.budget_reason == "time budget exhausted"
-    for threads in (1, 2):
-        res = ex_bruteforce(8, path(4), budget_nodes=60, threads=threads)
-        assert not res.exact
-        assert res.budget_reason == "node budget exhausted", threads
+    res = ex_bruteforce(8, path(4), budget_nodes=60)
+    assert not res.exact
+    assert res.budget_reason == "node budget exhausted"
 
 
 # -------------------------------------------------------------- determinism
-
-class InProcessPool:
-    """A stand-in for the process pool that runs the batches in process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
 
 def test_single_thread_runs_are_identical():
     a = ex_bruteforce(7, path(4))
@@ -232,42 +212,10 @@ def test_single_thread_runs_are_identical():
     assert a.witness == b.witness
 
 
-@pytest.mark.parametrize("threads", [2, 4, 8])
-def test_parallel_value_matches_single_thread(threads):
-    cases = [(7, path(4)), (8, star(3)), (7, tppp(6)), (6, t3(6))]
-    for p, f in cases:
-        solo = ex_bruteforce(p, f)
-        multi = ex_bruteforce(p, f, threads=threads)
-        assert multi.value == solo.value, (p, f.kind, threads)
-        assert multi.witness == solo.witness, (p, f.kind, threads)
-        assert multi.exact
-        assert multi.witness.edge_count() == multi.value
-        assert contains_tree(multi.witness, f) is None
-
-
-@pytest.mark.parametrize("threads", [1, 8])
-def test_tiny_hosts_with_many_threads(threads):
-    # the frontier can cover every edge slot here; values must not change
-    assert ex_bruteforce(4, path(4), threads=threads).value == 3
-    assert ex_bruteforce(3, star(2), threads=threads).value == 1
-    assert ex_bruteforce(4, star(3), threads=threads).value == 4
-
-
-def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
-    # the pool forks all its workers at the first submit, so the worker count
-    # must not follow --threads; this stand-in runs the batches in process
-    workers = []
-
-    class CountingPool(InProcessPool):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
-    solo = ex_bruteforce(8, path(4))
-    many = ex_bruteforce(8, path(4), threads=10_000)
-    assert workers and workers[0] <= (os.cpu_count() or 1)
-    assert many.exact
-    assert (many.value, many.witness) == (solo.value, solo.witness)
+def test_tiny_hosts():
+    assert ex_bruteforce(4, path(4)).value == 3
+    assert ex_bruteforce(3, star(2)).value == 1
+    assert ex_bruteforce(4, star(3)).value == 4
 
 
 # ----------------------------------------------------------- seeded search
@@ -337,26 +285,23 @@ DESK_GRID = [
 ] + [(8, path(6)), (8, tppp(7)), (9, t3(7))]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_seeded_search_matches_unseeded(monkeypatch, threads):
+def test_seeded_search_matches_unseeded(monkeypatch):
     # the first optimum in include-first order has at least the floor's edge
     # count, so no cut removes it before it is found: only nodes fall
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InProcessPool)
-    seeded = [ex_bruteforce(p, f, threads=threads) for p, f in DESK_GRID]
+    seeded = [ex_bruteforce(p, f) for p, f in DESK_GRID]
     monkeypatch.setattr(oracle, "_seed", lambda p, t: (0, "near-regular"))
-    unseeded = [ex_bruteforce(p, f, threads=threads) for p, f in DESK_GRID]
+    unseeded = [ex_bruteforce(p, f) for p, f in DESK_GRID]
     for (p, f), a, b in zip(DESK_GRID, seeded, unseeded):
         assert (a.value, a.exact, a.witness) == (b.value, b.exact, b.witness), (p, f)
         assert a.nodes <= b.nodes, (p, f)
     assert sum(a.nodes for a in seeded) < sum(b.nodes for b in unseeded)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_budget_stop_returns_the_seed_host(threads):
+def test_budget_stop_returns_the_seed_host():
     for p, f in DESK_GRID:
         t = realize(f)
         floor, host = oracle._seed(p, t)
-        res = ex_bruteforce(p, f, budget_nodes=1, threads=threads)
+        res = ex_bruteforce(p, f, budget_nodes=1)
         assert not res.exact and res.budget_reason == "node budget exhausted"
         assert (res.seed_edges, res.seed_host) == (floor, host)
         assert res.value >= floor
