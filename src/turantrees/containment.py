@@ -8,11 +8,11 @@ on the tree is prepared once per tree.
 
 * ``contains_tree`` sends every tree whose internal vertices induce a star
   (the three spider families among them) to a *skeleton* search: skip each
-  hub with fewer than ``n - 1`` other vertices within distance 2, place the
-  internal star (center plus branch vertices) by direct enumeration, then
-  decide leaf placement exactly with an augmenting-path matching between
-  the interchangeable leaf classes and the free host neighbours, which also
-  yields the concrete assignment.  Other trees use the generic engine.
+  hub with fewer than ``n - 1`` other vertices within distance 2, then
+  place the branch vertices one at a time, backtracking whenever the
+  interchangeable leaf classes placed so far fail Hall's condition (an
+  augmenting-path matching, extended from placement to placement).  Other
+  trees use the generic engine.
 
 * ``generic_backtrack`` embeds an arbitrary tree by backtracking over a BFS
   order rooted at a maximum-degree vertex, with degree pruning and an
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, groupby, product
 
 from .graphs import SimpleGraph, iter_bits
 from .trees import TreeFamily, realize
@@ -72,16 +71,13 @@ class StarSkeleton:
     branches: tuple[int, ...]
     center_leaves: tuple[int, ...]
     branch_leaves: tuple[tuple[int, ...], ...]
-    # The leaf count of the centre and of each branch, and (leaf count,
-    # branch count) for each run of equal-count branches: fixed per tree.
+    # The leaf count of the centre and of each branch, fixed per tree; equal
+    # counts of consecutive branches form a run of interchangeable branches.
     _demands: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _runs: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         demands = tuple(map(len, (self.center_leaves, *self.branch_leaves)))
-        runs = tuple((d, len(list(run))) for d, run in groupby(demands[1:]))
         object.__setattr__(self, "_demands", demands)
-        object.__setattr__(self, "_runs", runs)
 
 
 def build_star_skeleton(t: SimpleGraph) -> StarSkeleton | None:
@@ -105,72 +101,91 @@ def build_star_skeleton(t: SimpleGraph) -> StarSkeleton | None:
     return StarSkeleton(center, branches, leaves_of(center), tuple(map(leaves_of, branches)))
 
 
-def _place_leaves(masks: list[int], demands: tuple[int, ...]) -> list[int] | None:
-    """Give each demand class ``c`` ``demands[c]`` distinct hosts from
-    ``masks[c]``; returns the host mask each class gets, or None.
+def _claim(masks: list[int], got: list[int], taken: int, used: int, c: int, need: int) -> int:
+    """Give leaf class ``c`` ``need`` more hosts from ``masks[c]``; returns the
+    new ``taken`` (every host a class holds in ``got``, plus the ``used``
+    ones, which no class may take), or -1 when Hall's condition fails.
 
     The leaves of one internal vertex are interchangeable, so the matching
-    runs on classes, not on single leaves: a class first takes its lowest
-    free hosts, then finds each missing host by a breadth-first search for an
-    augmenting path, where one class takes a host another class holds and
-    that class replaces it, until some class on the path has a free host.
-    When no such path exists, the classes reached hold every host they can
-    use and still miss one, which violates Hall's condition, so no placement
-    exists.  That condition is checked first for all classes together: the
-    usual failure, too few free neighbours for all leaves, then costs one
-    union instead of a greedy pass.
-    """
-    union = 0
-    for mask in masks:
-        union |= mask
-    if union.bit_count() < sum(demands):
-        return None
+    runs on classes: a class takes its lowest free hosts, then finds each
+    missing one by a breadth-first search for an augmenting path, where a
+    class takes a host another class holds and that class replaces it, until
+    some class on the path has a free host.  When there is none, the classes
+    reached hold every host they can use and still miss one."""
+    free = masks[c] & ~taken
+    while need and free:
+        low = free & -free
+        got[c] |= low
+        taken |= low
+        free ^= low
+        need -= 1
+    while need:
+        via: dict[int, tuple[int, int]] = {}  # class -> (class, host it takes)
+        closed = got[c] | used  # used hosts, and those of the classes reached
+        queue = [c]
+        end = -1
+        for x in queue:
+            cand = masks[x] & taken & ~closed
+            while cand:
+                h = cand & -cand
+                y = next(y for y, held in enumerate(got) if held & h)
+                via[y] = (x, h)
+                closed |= got[y]
+                cand &= ~got[y]
+                if masks[y] & ~taken:
+                    end = y
+                    break
+                queue.append(y)
+            if end >= 0:
+                break
+        if end < 0:
+            return -1
+        free = masks[end] & ~taken
+        free &= -free
+        got[end] |= free
+        taken |= free
+        while end != c:  # each class passes one host back along the path
+            x, h = via[end]
+            got[end] ^= h
+            got[x] |= h
+            end = x
+        need -= 1
+    return taken
+
+
+def _place_leaves(masks: list[int], demands: tuple[int, ...]) -> list[int]:
+    """The hosts each class ``c`` gets when the classes, in order, claim
+    ``demands[c]`` hosts from ``masks[c]`` from scratch; the caller has
+    checked that they meet Hall's condition."""
     got = [0] * len(masks)
-    holder: dict[int, int] = {}  # host bit -> the class holding it
     taken = 0
     for c, need in enumerate(demands):
-        free = masks[c] & ~taken
-        while need and free:
-            low = free & -free
-            got[c] |= low
-            holder[low] = c
-            taken |= low
-            free ^= low
-            need -= 1
-        while need:
-            via: dict[int, tuple[int, int]] = {}  # class -> (class, host it takes)
-            closed = got[c]  # hosts held by classes already reached
-            queue = [c]
-            end = -1
-            for x in queue:
-                cand = masks[x] & taken & ~closed
-                while cand:
-                    h = cand & -cand
-                    y = holder[h]
-                    via[y] = (x, h)
-                    closed |= got[y]
-                    cand &= ~got[y]
-                    if masks[y] & ~taken:
-                        end = y
-                        break
-                    queue.append(y)
-                if end >= 0:
-                    break
-            if end < 0:
-                return None
-            free = masks[end] & ~taken
-            free &= -free
-            got[end] |= free
-            holder[free] = end
-            taken |= free
-            while end != c:  # each class passes one host back along the path
-                x, h = via[end]
-                got[end] ^= h
-                got[x] |= h
-                holder[h] = x
-                end = x
-            need -= 1
+        taken = _claim(masks, got, taken, 0, c, need)
     return got
+
+
+def _place_branch(masks: list[int], state: tuple, bit: int, need: int) -> tuple | None:
+    """The exact Hall test after one more internal vertex is placed: extend
+    the class matching ``state = (got, taken, used, union)`` of the vertices
+    placed so far (``_claim``; ``union`` ORs their masks), left as it was, or
+    return None.  A union count catches the usual failure first.  The image
+    ``bit`` leaves the class that held it, which re-augments, then the new
+    class ``masks[len(got)]`` claims ``need`` hosts."""
+    got, taken, used, union = state
+    union |= masks[len(got)]
+    if (union & ~(used | bit)).bit_count() < (taken & ~used).bit_count() + need:
+        return None
+    used |= bit
+    got = [*got, 0]
+    if taken & bit:
+        x = next(x for x, held in enumerate(got) if held & bit)
+        got[x] ^= bit
+        taken = _claim(masks, got, taken, used, x, 1)
+    else:
+        taken |= bit
+    if taken >= 0:
+        taken = _claim(masks, got, taken, used, len(got) - 1, need)
+    return None if taken < 0 else (got, taken, used, union)
 
 
 def _hubs(g: SimpleGraph, n: int, need: int) -> tuple[list[int], list[int]]:
@@ -199,6 +214,8 @@ def _skeleton_search(
 ) -> tuple[int, ...] | None:
     n = t.n
     adj = g.adj
+    demands = sk._demands
+    k = len(sk.branches)
     hdeg, hubs = _hubs(g, n, t.degree(sk.center))
     for w0 in hubs:
         # Every tree vertex lies within distance 2 of the centre, so the
@@ -209,32 +226,55 @@ def _skeleton_search(
             ball |= adj[w]
         if (ball & ~(1 << w0)).bit_count() < n - 1:
             continue
-        # Equal-demand branches are interchangeable, so each run of them
-        # takes its host images in ascending order only.
-        cands = [[w for w in iter_bits(row0) if hdeg[w] > d] for d, _ in sk._runs]
-        if any(len(c) < k for c, (_, k) in zip(cands, sk._runs)):
+        # Class i is the centre (i = 0) or branch i - 1.  Equal-demand
+        # branches are interchangeable, so each run of them takes ascending
+        # images, and class i goes no higher than ``opts[i][top[i]]``, which
+        # leaves one candidate for each later class of its run.
+        opts: list[list[int]] = [[]] * (k + 1)
+        top = [0] * (k + 1)
+        for i in range(k, 0, -1):
+            if i < k and demands[i + 1] == demands[i]:
+                opts[i], top[i] = opts[i + 1], top[i + 1] - 1
+            else:
+                opts[i] = [w for w in iter_bits(row0) if hdeg[w] > demands[i]]
+                top[i] = len(opts[i]) - 1
+        if min(top) < 0:
             continue
-        for picks in product(*(combinations(c, k) for c, (_, k) in zip(cands, sk._runs))):
-            flat = [w for pick in picks for w in pick]
-            used = 1 << w0
-            for w in flat:
-                used |= 1 << w
-            if used.bit_count() <= len(flat):
-                continue  # two runs picked the same host
-            # One demand class per internal vertex: its leaves share the free
-            # neighbourhood of its image.
-            masks = [row0 & ~used, *(adj[w] & ~used for w in flat)]
-            got = _place_leaves(masks, sk._demands)
-            if got is None:
+        # Backtrack over the branches one at a time, and reject each
+        # placement whose classes so far fail Hall's condition: later
+        # placements only shrink the masks, so no extension can pass.
+        masks = [row0] * (k + 1)
+        states = [_place_branch(masks, ([], 0, 0, 0), 1 << w0, demands[0])] * (k + 1)
+        pos = [0] * (k + 2)
+        i = 1
+        while 0 < i <= k:
+            state = None
+            while state is None and pos[i] <= top[i]:
+                w = opts[i][pos[i]]
+                pos[i] += 1
+                if not states[i - 1][2] >> w & 1:
+                    masks[i] = adj[w]
+                    state = _place_branch(masks, states[i - 1], 1 << w, demands[i])
+            if state is None:
+                i -= 1
                 continue
-            witness = [-1] * n
-            witness[sk.center] = w0
-            for b, w in zip(sk.branches, flat):
-                witness[b] = w
-            for leaves, hosts in zip((sk.center_leaves, *sk.branch_leaves), got):
-                for leaf, h in zip(leaves, iter_bits(hosts)):
-                    witness[leaf] = h
-            return tuple(witness)
+            states[i] = state
+            i += 1
+            pos[i] = pos[i - 1] if i <= k and demands[i] == demands[i - 1] else 0
+        if not i:
+            continue
+        # One demand class per internal vertex: its leaves share the free
+        # neighbourhood of its image.
+        used = states[k][2]
+        got = _place_leaves([mask & ~used for mask in masks], demands)
+        witness = [-1] * n
+        witness[sk.center] = w0
+        for i, b in enumerate(sk.branches, 1):
+            witness[b] = opts[i][pos[i] - 1]  # pos[i] is one past its image
+        for leaves, hosts in zip((sk.center_leaves, *sk.branch_leaves), got):
+            for leaf, h in zip(leaves, iter_bits(hosts)):
+                witness[leaf] = h
+        return tuple(witness)
     return None
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -178,6 +179,26 @@ def test_check_explicit_tree_from_file(capsys, tmp_path):
     host.write_text(to_graph6(SimpleGraph.complete(3)) + "\n")
     code, rep = run_cli(capsys, "check", str(host), f"file:{tree_file}")
     assert code == 0 and rep["contains"] is True
+
+
+def test_check_rejects_equal_legs_without_leaf_hosts_quickly(capsys, tmp_path):
+    # the spider with 9 legs of length 2 on a hub of degree 40: without a
+    # Hall test per branch placement, every hub tried C(40, 9) leg picks
+    tree = tmp_path / "legs.edges"
+    tree.write_text("".join(f"0 {i}\n{i} {9 + i}\n" for i in range(1, 10)))
+    shared = [(0, v) for v in range(1, 41)] + [(v, 41) for v in range(1, 41)]
+    # vertex 1 has 9 private leaf hosts, 2..40 share 41: every prefix of a
+    # pick passes a count of the union of the leaf hosts, but a pick with
+    # two legs in 2..40 fails Hall's condition
+    private = [(0, v) for v in range(1, 41)] + [(1, v) for v in range(42, 51)]
+    private += [(v, 41) for v in range(2, 41)]
+    for name, p, edges in (("shared", 42, shared), ("private", 51, private)):
+        host = tmp_path / f"{name}.g6"
+        host.write_text(to_graph6(SimpleGraph.from_edges(p, edges)) + "\n")
+        start = time.monotonic()
+        code, rep = run_cli(capsys, "check", str(host), f"file:{tree}")
+        assert time.monotonic() - start < 0.5, name
+        assert code == 0 and rep["contains"] is False, name
 
 
 def test_non_ascii_text_only_in_comments(capsys, tmp_path):

@@ -441,22 +441,27 @@ def repeated_branch_tree_edges(rng: random.Random) -> tuple[int, list[tuple[int,
     return hang(rng, shapes)
 
 
+def planted_host_edges(rng: random.Random, tn: int, te, most: int):
+    """A random host on ``tn..most`` vertices with a relabelled copy of the
+    tree planted, often with one edge cut, so that many hosts sit just on
+    either side of containing it: ``(p, sorted edges)``."""
+    p = rng.randint(tn, most)
+    he = set(R.random_host_edges(rng, p, rng.uniform(0.0, 0.3)))
+    image = rng.sample(range(p), tn)
+    planted = [tuple(sorted((image[a], image[b]))) for a, b in te]
+    he |= set(planted)
+    if rng.random() < 0.5:
+        he.discard(rng.choice(planted))
+    return p, sorted(he)
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_generic_engine_matches_reference_on_repeated_branches(seed):
     rng = random.Random(seed)
     tn, te = repeated_branch_tree_edges(rng)
     t = SimpleGraph.from_edges(tn, te)
-    p = rng.randint(tn, 9)
-    he = set(R.random_host_edges(rng, p, rng.uniform(0.0, 0.3)))
-    # plant a relabelled copy of the tree, often with one edge cut, so that
-    # many hosts sit just on either side of containing it
-    image = rng.sample(range(p), tn)
-    planted = [tuple(sorted((image[a], image[b]))) for a, b in te]
-    he |= set(planted)
-    if rng.random() < 0.5:
-        he.discard(rng.choice(planted))
-    he = sorted(he)
+    p, he = planted_host_edges(rng, tn, te, 9)
     g = host_from_edges(p, he)
     w = generic_backtrack(g, t)
     assert (w is not None) == R.embeds_pruned(p, he, tn, te)
@@ -530,14 +535,17 @@ def adversarial_host(n: int) -> SimpleGraph:
     return host_from_edges(n, edges)
 
 
+def spy(monkeypatch, name: str, calls: list) -> None:
+    """Record one entry in ``calls`` per call of ``containment.<name>``."""
+    real = getattr(containment, name)
+    monkeypatch.setattr(containment, name, lambda *args: calls.append(name) or real(*args))
+
+
 def test_adversarial_hosts_rejected_before_any_branch_pick(monkeypatch):
+    # neither the per-placement Hall test nor the final leaf placement runs
     placements = []
-    place = containment._place_leaves
-    monkeypatch.setattr(
-        containment,
-        "_place_leaves",
-        lambda masks, demands: placements.append(1) or place(masks, demands),
-    )
+    spy(monkeypatch, "_place_branch", placements)
+    spy(monkeypatch, "_place_leaves", placements)
     for n in range(15, 81):
         g = adversarial_host(n)
         for maker in FAMILY_MAKERS:
@@ -548,6 +556,69 @@ def test_adversarial_hosts_rejected_before_any_branch_pick(monkeypatch):
     start = time.monotonic()
     assert contains_tree(adversarial_host(60), tppp(60)) is None
     assert time.monotonic() - start < 0.5
+
+
+def crowded_branch_host(n: int) -> SimpleGraph:
+    """Hub 0 joined to ``a = 1`` and to ``B = {2, ..., n-4}``; ``a`` is joined
+    to ``z1, z2, z3`` and every vertex of ``B`` to ``z0``.  Hub 0 has degree
+    ``n - 4`` and ``n`` other vertices within distance 2, so it passes every
+    hub filter, but at most two branches can get leaves: one through ``a``,
+    one through ``z0``."""
+    z0 = n - 3
+    edges = [(0, v) for v in range(1, z0)] + [(1, z) for z in range(z0 + 1, z0 + 4)]
+    edges += [(b, z0) for b in range(2, z0)]
+    return host_from_edges(n + 1, edges)
+
+
+def test_hall_test_prunes_branch_picks_per_placement(monkeypatch):
+    # without a Hall test per placement, tppp sweeps all C(n - 4, 3) picks
+    # of its three branches at hub 0; with it, a pick dies at its third
+    # branch, or at its second when the first is in B
+    tests = []
+    spy(monkeypatch, "_place_branch", tests)
+    for n in range(15, 81):
+        g = crowded_branch_host(n)
+        t = realize(tppp(n))
+        assert g.degree(0) == t.degree(build_star_skeleton(t).center)
+        tests.clear()
+        assert contains_tree(g, tppp(n)) is None, n
+        assert 0 < len(tests) <= n * n, (n, len(tests))
+    # one more leaf host for a vertex of B makes room for the third branch
+    g = host_from_edges(81, list(crowded_branch_host(80).edges()) + [(2, 79)])
+    w = contains_tree(g, tppp(80))
+    assert w is not None and verify_witness(g, realize(tppp(80)), w)
+    start = time.monotonic()
+    assert contains_tree(crowded_branch_host(80), tppp(80)) is None
+    assert time.monotonic() - start < 0.2
+
+
+def equal_run_tree_edges(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A randomly relabelled star-skeleton tree on at most 10 vertices whose
+    centre carries a run of three or four equal branches (one or two leaves
+    each), sometimes one other branch, and up to two leaves of its own."""
+    leaves = rng.choice((1, 2))
+    count = rng.randint(3, 9 // (leaves + 1))
+    shapes = [[(0, j) for j in range(1, leaves + 1)]] * count
+    room = 9 - count * (leaves + 1)
+    if room >= 2 and rng.random() < 0.5:
+        other = rng.randint(1, min(3, room - 1))
+        shapes.append([(0, j) for j in range(1, other + 1)])
+        room -= other + 1
+    shapes += [[]] * rng.randint(0, min(2, room))
+    return hang(rng, shapes)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_skeleton_search_matches_reference_on_equal_branch_runs(seed):
+    rng = random.Random(seed)
+    tn, te = equal_run_tree_edges(rng)
+    t = SimpleGraph.from_edges(tn, te)
+    p, he = planted_host_edges(rng, tn, te, 10)
+    g = host_from_edges(p, he)
+    w = contains_tree(g, explicit_tree(te))
+    assert (w is not None) == R.embeds_pruned(p, he, tn, te)
+    assert w is None or verify_witness(g, t, w)
 
 
 @pytest.mark.parametrize("n", [15, 30])
