@@ -20,10 +20,15 @@ Five exact prunes keep it fast:
   degree are enumerated.  Vertex-0 slots are decided first, so its degree is
   final when the constraint is enforced; any avoider can be relabeled to put
   a maximum-degree vertex at 0, so the maximum value is unaffected.
-* **Capacity bound** -- once vertex 0's degree ``c`` is final, no other
-  vertex may exceed it, so at most ``sum(c - deg(v)) / 2 = (p c - 2 m) / 2``
-  more edges fit (``m`` edges so far); branches that cannot beat the
-  incumbent are cut.
+* **Room bound** -- once vertex 0's degree ``c`` is final, no other vertex
+  may exceed it, and a vertex ``x`` can gain an edge only through one of
+  its ``open_x`` undecided slots.  So ``x`` has room for
+  ``min(c - deg(x), open_x)`` more edges, each later edge takes one unit of
+  room at each end, and at most half the summed room more edges fit;
+  branches that cannot beat the incumbent are cut.  The sum is an argument
+  of the search, so each node pays O(1): including ``(u, v)`` takes two
+  units, and excluding it takes one at ``u`` (``v``) exactly when its open
+  slots were no more than its spare degree.
 * **Prefix cut** (isomorph rejection in the sense of McKay, *Isomorph-free
   exhaustive generation*, J. Algorithms 1998) -- at slot ``(u, v)`` two
   vertices ``w, v > u`` are interchangeable when their decided neighbours
@@ -40,7 +45,7 @@ Five exact prunes keep it fast:
   the clique union of ``K_{n-1}`` blocks, no component of which holds the
   tree, and ``near_regular(p, D - 1)``, whose degrees stay below the
   tree's maximum degree ``D``.  Only a host with at
-  least that many edges is recorded, so the capacity bound cuts from the
+  least that many edges is recorded, so the room bound cuts from the
   first node.  The first optimum in include-first order has at least the
   seed's edge count, so no cut removes it before it is found: the value
   and the witness are unchanged and only the node count falls.
@@ -138,11 +143,11 @@ class _BruteForce:
         self.budget_nodes = budget_nodes
         self.deadline = deadline
 
-    def _component_size(self, start: int) -> int:
-        """Vertices reachable from ``start`` in the current partial graph."""
+    def _reaches(self, start: int, n: int) -> bool:
+        """Whether ``start``'s component in the current partial graph has at
+        least ``n`` vertices; the breadth-first search stops once it has."""
         rows = self.rows
-        seen = 1 << start
-        frontier = seen
+        seen = frontier = 1 << start
         while frontier:
             nxt = 0
             m = frontier
@@ -152,13 +157,15 @@ class _BruteForce:
                 m ^= low
             frontier = nxt & ~seen
             seen |= frontier
-        return seen.bit_count()
+            if seen.bit_count() >= n:
+                return True
+        return False
 
-    def dfs(self, i: int) -> None:
+    def dfs(self, i: int, room: int) -> None:
         self.nodes += 1
         if self.nodes >= self.budget_nodes:
             raise BudgetExceeded("node budget exhausted")
-        if not self.nodes & 1023 and time.monotonic() > self.deadline:
+        if not self.nodes & 63 and time.monotonic() > self.deadline:
             raise BudgetExceeded("time budget exhausted")
 
         if i == len(self.slots):
@@ -167,20 +174,18 @@ class _BruteForce:
                 self.best_rows = list(self.rows)
             return
 
-        # Upper bound on what this subtree can still reach.  Once vertex 0's
-        # degree is final it caps every degree, and each later edge consumes
-        # two units of remaining degree capacity.  The slack is the sum of
-        # ``deg[0] - d`` over all degrees (every term >= 0), and the degrees
-        # sum to ``2 * m``.
-        remaining = len(self.slots) - i
-        if i >= self.p - 1:
-            slack = self.p * self.deg[0] - 2 * self.m
-            remaining = min(remaining, slack // 2)
-        if self.m + remaining <= self.best:
+        # Upper bound on what this subtree can still reach: every later edge
+        # takes one unit of ``room`` at each end (see ``_initial_room``).
+        p = self.p
+        deg = self.deg
+        if i == p - 1:
+            room = _initial_room(p, deg)
+        if self.m + min(len(self.slots) - i, room // 2) <= self.best:
             return
 
         u, v = self.slots[i]
-        allowed = u == 0 or (self.deg[u] < self.deg[0] and self.deg[v] < self.deg[0])
+        cap = deg[0]
+        allowed = u == 0 or (deg[u] < cap and deg[v] < cap)
         if allowed:
             # Prefix cut: u may take v only if it took the nearest vertex
             # between them with the same decided neighbours below u.
@@ -191,25 +196,36 @@ class _BruteForce:
                 if rows[w] & low == key:
                     allowed = rows[u] >> w & 1
                     break
+        # Excluding (u, v) closes one open slot at u and one at v; each loses
+        # a unit of room when its open slots (p - v at u, p - 1 - u at v)
+        # were no more than its spare degree.
+        spent = (p - v <= cap - deg[u]) + (p - 1 - u <= cap - deg[v])
         if allowed:
             self.rows[u] |= 1 << v
             self.rows[v] |= 1 << u
-            self.deg[u] += 1
-            self.deg[v] += 1
+            deg[u] += 1
+            deg[v] += 1
             self.m += 1
             # Any new embedding sits inside u's component and must use the
             # new edge, so small components need no engine call at all.
-            created = self._component_size(u) >= self.tree_n and contains_through_edge(
-                self.rows, self.deg, self.contexts, u, v
+            created = self._reaches(u, self.tree_n) and contains_through_edge(
+                self.rows, deg, self.contexts, u, v
             )
             if not created:
-                self.dfs(i + 1)
+                self.dfs(i + 1, room - 2)
             self.rows[u] ^= 1 << v
             self.rows[v] ^= 1 << u
-            self.deg[u] -= 1
-            self.deg[v] -= 1
+            deg[u] -= 1
+            deg[v] -= 1
             self.m -= 1
-        self.dfs(i + 1)
+        self.dfs(i + 1, room - spent)
+
+
+def _initial_room(p: int, deg: list[int]) -> int:
+    """The room of the search at slot ``(1, 2)``, where vertex 0's degree
+    ``deg[0]`` has just become final: every other vertex has ``p - 2`` open
+    slots and may take ``deg[0] - deg[x]`` more edges."""
+    return sum(min(deg[0] - d, p - 2) for d in deg[1:])
 
 
 def _seed(p: int, t: SimpleGraph) -> tuple[int, str]:
@@ -305,7 +321,8 @@ def ex_bruteforce(
     seed = _seed(p, t)
     bf = _BruteForce(p, edge_anchored_contexts(t), t.n, nodes_budget, deadline, seed[0])
     try:
-        bf.dfs(0)
+        # Before slot (1, 2) no room is known; twice the slot count never cuts.
+        bf.dfs(0, 2 * len(bf.slots))
         reason = None
     except BudgetExceeded as exc:
         reason = str(exc)

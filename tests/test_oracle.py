@@ -127,11 +127,32 @@ def test_oracle_equals_formula_at_real_orders(p, f, partial):
 
 
 def test_tppp10_at_p10_is_exact_within_seconds():
-    # 16,399 nodes, each with an anchored check of the new edge: about 1 s
-    # with one context per edge orbit, 12-13 s with one per directed edge
+    # 3,425 nodes, each with an anchored check of the new edge: about 0.3 s
+    # with one context per edge orbit
     res = ex_bruteforce(10, tppp(10), budget_seconds=10)
     assert res.exact and res.value == extremal_value(tppp(10), 10).value == 36
     check_result(res, 10, tppp(10))
+
+
+# The paper's own orders above p = n, where the residue is not 1.  Each
+# ceiling is below the node count of the search with the degree-capacity
+# bound ``(p deg(0) - 2 m) / 2`` in place of the room bound.
+@pytest.mark.parametrize(
+    "p,f,value,ceiling",
+    [
+        (11, t3(10), 37, 80_000),  # capacity bound: 175,903 nodes
+        (11, tpp(10), 37, 80_000),  # 131,991
+        (13, t3(13), 66, 50_000),  # 93,813
+        (13, tpp(13), 66, 50_000),  # 94,006
+        (12, t3(11), 46, 400_000),  # 1,211,585
+    ],
+    ids=["t3-10-p11", "tpp10-p11", "t3-13-p13", "tpp13-p13", "t3-11-p12"],
+)
+def test_real_order_slice_is_exact(p, f, value, ceiling):
+    res = ex_bruteforce(p, f)
+    assert res.value == extremal_value(f, p, partial=True).value == value
+    assert res.nodes < ceiling
+    check_result(res, p, f)
 
 
 def test_tppp7_at_p9_is_exact_within_budget():
@@ -295,6 +316,18 @@ def test_seeded_search_matches_unseeded(monkeypatch):
         assert (a.value, a.exact, a.witness) == (b.value, b.exact, b.witness), (p, f)
         assert a.nodes <= b.nodes, (p, f)
     assert sum(a.nodes for a in seeded) < sum(b.nodes for b in unseeded)
+
+
+def test_room_bound_matches_unbounded_search(monkeypatch):
+    # a cut subtree cannot beat the incumbent, so the first optimum in
+    # include-first order is still found: only nodes fall
+    bounded = [ex_bruteforce(p, f) for p, f in DESK_GRID]
+    monkeypatch.setattr(oracle, "_initial_room", lambda p, deg: 10**9)
+    unbounded = [ex_bruteforce(p, f) for p, f in DESK_GRID]
+    for (p, f), a, b in zip(DESK_GRID, bounded, unbounded):
+        assert (a.value, a.exact, a.witness) == (b.value, b.exact, b.witness), (p, f)
+        assert a.nodes <= b.nodes, (p, f)
+    assert sum(a.nodes for a in bounded) < sum(b.nodes for b in unbounded)
 
 
 def test_budget_stop_returns_the_seed_host():
