@@ -55,8 +55,6 @@ from .constructions import (
     extremal_graph,
 )
 from .containment import (
-    StarSkeleton,
-    build_star_skeleton,
     contains_tree,
     generic_backtrack,
     verify_witness,
@@ -111,8 +109,6 @@ __all__ = [
     "lemma46_odd",
     "lemma47_construct",
     "extremal_graph",
-    "StarSkeleton",
-    "build_star_skeleton",
     "contains_tree",
     "generic_backtrack",
     "verify_witness",

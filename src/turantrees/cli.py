@@ -221,6 +221,17 @@ def _cmd_verify(args) -> tuple[dict, int]:
     if n_lo > n_hi:
         raise ValueError(f"empty n range {args.n!r}")
     p_lo_s, p_hi_s = _parse_span(args.p)
+    # Every grid check needs n >= 10 (the identity check's smallest order; a
+    # family's MIN_N is at least that) and p >= n.  The oracle sweep runs its
+    # own suite, so a grid without checks is an error only without it.
+    ns = range(max(n_lo, 10), n_hi + 1)
+    if not args.oracle:
+        if not ns:
+            raise ValueError(
+                f"n range {args.n!r} holds no n >= 10, the smallest order verify checks"
+            )
+        if all(max(eval_nexpr(p_lo_s, n), n) > eval_nexpr(p_hi_s, n) for n in ns):
+            raise ValueError(f"p range {args.p!r} holds no p >= n for any n in {args.n!r}")
 
     families = [s.strip() for s in args.families.split(",") if s.strip()]
     for tag in families:
@@ -249,7 +260,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
             if len(failures) < 20:
                 failures.append({"check": name, **info})
 
-    for n in range(n_lo, n_hi + 1):
+    for n in ns:
         p_lo = eval_nexpr(p_lo_s, n)
         p_hi = eval_nexpr(p_hi_s, n)
         _log(args.quiet, f"verify: n={n}, p in [{p_lo}, {p_hi}]")
@@ -257,12 +268,11 @@ def _cmd_verify(args) -> tuple[dict, int]:
             tag: parse_family_spec(f"{tag}:{n}") for tag in families if n >= MIN_N[tag]
         }
         ps = range(max(p_lo, n), p_hi + 1)
-        if n >= 10:
-            for p in ps:
-                a = ex_tpp(p, n).value
-                b = ex_tppp(p, n).value
-                c = generic_max_form(p, n).value
-                record("identity", a == b == c, n=n, p=p)
+        for p in ps:
+            a = ex_tpp(p, n).value
+            b = ex_tppp(p, n).value
+            c = generic_max_form(p, n).value
+            record("identity", a == b == c, n=n, p=p)
 
         # Families outside, p inside: the look-back p - (n-1) of the
         # recurrence then stays within extremal_value's cache.

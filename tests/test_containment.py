@@ -1,4 +1,4 @@
-"""Exact tree containment: soundness, reference agreement, fast-path parity."""
+"""Exact tree containment: soundness, reference agreement, performance contracts."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ from turantrees.constructions import clique_union, lemma46_even, near_regular
 from turantrees.constructions import extremal_graph
 from turantrees import containment
 from turantrees.containment import (
-    MAX_GENERIC_ORDER,
-    build_star_skeleton,
     contains_through_edge,
     contains_tree,
     edge_anchored_contexts,
@@ -28,12 +26,29 @@ from turantrees.graphs import SimpleGraph, iter_bits
 from turantrees.trees import explicit_tree, path, realize, star, t3, tpp, tppp
 
 import reference as R
+from test_trees import prufer_tree
 
 FAMILY_MAKERS = [t3, tpp, tppp]
 
 
 def host_from_edges(p: int, edges) -> SimpleGraph:
     return SimpleGraph.from_edges(p, edges)
+
+
+def leafwise_embeds(g: SimpleGraph, t: SimpleGraph) -> bool:
+    """A second decider for hosts too large for ``R.embeds_pruned``: the
+    oracle's engine (``_engine``), which places every tree vertex, leaves
+    one by one, with no leaf-class matching and no hub or ball filter, run
+    from each host vertex that can take a maximum-degree tree vertex."""
+    ctx = containment._prepare_context(t, [max(range(t.n), key=t.degree)])[0]
+    hdeg = [g.degree(v) for v in range(g.n)]
+    assign = [-1] * t.n
+    for w in range(g.n):
+        if hdeg[w] >= ctx.tdeg[ctx.order[0]]:
+            assign[0] = w
+            if containment._engine(g.adj, hdeg, ctx, assign, 1 << w, 1):
+                return True
+    return False
 
 
 # ------------------------------------------------------- reference self-check
@@ -162,12 +177,13 @@ def test_containment_is_edge_monotone(seed):
     assert contains_tree(bigger, f) is not None
 
 
-# ------------------------------------------- fast path vs generic backtracking
+# ------------------------------------------------ family trees, random hosts
 
 @pytest.mark.parametrize("maker", FAMILY_MAKERS)
 def test_skeleton_path_matches_generic_on_random_hosts(maker):
     # 1,000 random hosts per family, split over tree orders 10 and 15 and
-    # host orders up to n+8; the two deciders must agree on every one
+    # host orders up to n+8; contains_tree must agree with the leaf-by-leaf
+    # decider on every one
     rng = random.Random(f"skeleton-{maker.__name__}")
     for i in range(1000):
         n = 10 if i % 2 == 0 else 15
@@ -177,13 +193,9 @@ def test_skeleton_path_matches_generic_on_random_hosts(maker):
         # mixed density, biased toward the decision boundary region
         q = rng.choice((0.35, 0.55, 0.7, 0.85, 0.95))
         g = host_from_edges(p, R.random_host_edges(rng, p, q))
-        fast = contains_tree(g, f)
-        slow = generic_backtrack(g, t)
-        assert (fast is None) == (slow is None), (maker.__name__, n, p, i)
-        if fast is not None:
-            assert verify_witness(g, t, fast)
-        if slow is not None:
-            assert verify_witness(g, t, slow)
+        w = contains_tree(g, f)
+        assert (w is not None) == leafwise_embeds(g, t), (maker.__name__, n, p, i)
+        assert w is None or verify_witness(g, t, w)
 
 
 def test_exhaustive_family_trees_on_all_small_hosts():
@@ -364,8 +376,8 @@ def test_matching_on_dense_near_regular_host_is_fast():
     [(t3(28), 47), (t3(29), 49), (tpp(20), 25), (tppp(21), 30), (t3(15), 23)],
 )
 def test_explicit_spider_copies_answer_like_the_family(f, p):
-    # the engine follows the tree's shape: an explicit copy of a spider takes
-    # the same skeleton search as the family spec
+    # the search follows the tree, not its spec: an explicit copy of a
+    # spider answers like the family spec, as fast
     g, _ = extremal_graph(f, p)
     copy = explicit_tree(list(realize(f).edges()))
     rng = random.Random(p)
@@ -396,7 +408,7 @@ CROWDED = SimpleGraph.from_edges(
 
 
 def test_many_branch_skeleton_trees():
-    # the skeleton search agrees with the generic engine, and rejects a host
+    # contains_tree agrees with the leaf-by-leaf decider, and rejects a host
     # that only a full search would otherwise settle
     legs = NINE_LEGS
     t = realize(legs)
@@ -410,7 +422,7 @@ def test_many_branch_skeleton_trees():
             p, [(u, v) for u in range(p) for v in range(u + 1, p) if rng.random() < q]
         )
         w = contains_tree(g, legs)
-        assert (w is None) == (generic_backtrack(g, t) is None)
+        assert (w is not None) == leafwise_embeds(g, t)
         assert w is None or verify_witness(g, t, w)
 
 
@@ -470,8 +482,9 @@ def test_generic_engine_matches_reference_on_repeated_branches(seed):
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
-def test_skeleton_search_agrees_with_generic_engine(seed):
-    # star-skeleton trees with unequal leaf classes, on random small hosts
+def test_star_skeleton_trees_match_reference(seed):
+    # trees whose internal vertices induce a star, with unequal leaf classes,
+    # on random small hosts
     rng = random.Random(seed)
     edges, v = [], 1
     for _ in range(rng.randrange(0, 4)):
@@ -484,10 +497,46 @@ def test_skeleton_search_agrees_with_generic_engine(seed):
     f = explicit_tree(edges)
     t = realize(f)
     p = rng.randrange(v, v + 4)
-    g = host_from_edges(p, R.random_host_edges(rng, p, rng.uniform(0.2, 0.6)))
+    he = R.random_host_edges(rng, p, rng.uniform(0.2, 0.6))
+    g = host_from_edges(p, he)
     w = contains_tree(g, f)
-    assert (w is None) == (generic_backtrack(g, t) is None)
+    assert (w is not None) == R.embeds_pruned(p, he, v, edges)
     assert w is None or verify_witness(g, t, w)
+
+
+def any_tree_edges(rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+    """A random tree on at most 9 vertices: a uniform labelled tree (Prüfer
+    sequence), a path of 6 to 9 vertices, or a broom (a path of 3 to 6
+    vertices with three or more bristles at one end), relabelled."""
+    shape = rng.random()
+    if shape < 0.6:
+        n = rng.randint(2, 9)
+        edges = list(prufer_tree(n, tuple(rng.randrange(n) for _ in range(n - 2))).edges())
+    elif shape < 0.8:
+        n = rng.randint(6, 9)
+        edges = leg(n)
+    else:
+        handle = rng.randint(3, 6)
+        n = rng.randint(handle + 3, 9)
+        edges = leg(handle) + [(handle - 1, v) for v in range(handle, n)]
+    label = rng.sample(range(n), n)
+    return n, [(label[a], label[b]) for a, b in edges]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_every_tree_shape_matches_reference_on_planted_hosts(seed):
+    rng = random.Random(seed)
+    tn, te = any_tree_edges(rng)
+    t = SimpleGraph.from_edges(tn, te)
+    p, he = planted_host_edges(rng, tn, te, 9)
+    g = host_from_edges(p, he)
+    w = contains_tree(g, explicit_tree(te))
+    expected = R.embeds_pruned(p, he, tn, te)
+    assert (w is not None) == expected
+    assert w is None or verify_witness(g, t, w)
+    # the leaf-by-leaf decider that certifies larger hosts agrees here too
+    assert leafwise_embeds(g, t) == expected
 
 
 def test_skeleton_matching_follows_long_augmenting_paths():
@@ -509,11 +558,12 @@ def test_skeleton_matching_follows_long_augmenting_paths():
 
 
 def test_generic_engine_order_bound():
+    # the search is a loop, not a recursion, so no tree order is too large
+    # for the interpreter's stack
     host = SimpleGraph.from_edges(1200, [(i, i + 1) for i in range(1199)])
-    w = contains_tree(host, path(MAX_GENERIC_ORDER))
-    assert w is not None and verify_witness(host, realize(path(MAX_GENERIC_ORDER)), w)
-    with pytest.raises(ValueError, match=f"order <= {MAX_GENERIC_ORDER}"):
-        contains_tree(host, path(MAX_GENERIC_ORDER + 1))
+    for n in (500, 501, 1100, 1200):
+        w = contains_tree(host, path(n))
+        assert w is not None and verify_witness(host, realize(path(n)), w)
     # a tree larger than the host needs no search at all
     assert contains_tree(SimpleGraph.empty(600), path(1100)) is None
 
@@ -542,15 +592,14 @@ def spy(monkeypatch, name: str, calls: list) -> None:
 
 
 def test_adversarial_hosts_rejected_before_any_branch_pick(monkeypatch):
-    # neither the per-placement Hall test nor the final leaf placement runs
+    # the per-placement Hall test never runs
     placements = []
     spy(monkeypatch, "_place_branch", placements)
-    spy(monkeypatch, "_place_leaves", placements)
     for n in range(15, 81):
         g = adversarial_host(n)
         for maker in FAMILY_MAKERS:
             t = realize(maker(n))
-            assert g.max_degree() >= t.degree(build_star_skeleton(t).center)
+            assert g.max_degree() >= t.max_degree()
             assert contains_tree(g, maker(n)) is None, (maker.__name__, n)
             assert not placements, (maker.__name__, n)
     start = time.monotonic()
@@ -579,7 +628,7 @@ def test_hall_test_prunes_branch_picks_per_placement(monkeypatch):
     for n in range(15, 81):
         g = crowded_branch_host(n)
         t = realize(tppp(n))
-        assert g.degree(0) == t.degree(build_star_skeleton(t).center)
+        assert g.degree(0) == t.max_degree()
         tests.clear()
         assert contains_tree(g, tppp(n)) is None, n
         assert 0 < len(tests) <= n * n, (n, len(tests))
@@ -629,8 +678,7 @@ def test_hosts_with_a_tight_two_ball_still_embed(maker, n):
     # vertices within distance 2
     rng = random.Random(f"tight-{maker.__name__}-{n}")
     t = realize(maker(n))
-    sk = build_star_skeleton(t)
-    far = sk.branch_leaves[0][0]
+    far = max(iter_bits(t.adj[1]))  # a leaf of branch 1, two steps from centre 0
     tailed = list(t.edges()) + [(far, n), (n, n + 1), (n + 1, n + 2)]
     for g in (t, host_from_edges(n + 3, tailed)):
         perm = list(range(g.n))
@@ -638,7 +686,7 @@ def test_hosts_with_a_tight_two_ball_still_embed(maker, n):
         g = g.relabeled(perm)
         w = contains_tree(g, maker(n))
         assert w is not None and verify_witness(g, t, w)
-        hub = w[sk.center]
+        hub = w[0]
         ball = g.adj[hub]
         for v in iter_bits(g.adj[hub]):
             ball |= g.adj[v]
@@ -649,14 +697,13 @@ def test_hosts_with_a_tight_two_ball_still_embed(maker, n):
 
 def test_rooted_context_is_built_once_per_tree(monkeypatch):
     calls = []
-    prepare = containment._prepare_context
+    forms = containment._rooted_forms
     monkeypatch.setattr(
         containment,
-        "_prepare_context",
-        lambda t, seeds: calls.append(seeds) or prepare(t, seeds),
+        "_rooted_forms",
+        lambda t, seeds, intern: calls.append(seeds) or forms(t, seeds, intern),
     )
-    # no other test uses this tree, so its context is not cached yet; its
-    # internal vertices 1, 2, 3, 6 form a path, so it takes the generic engine
+    # no other test uses this tree, so its context is not cached yet
     fork = explicit_tree([(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (3, 6), (6, 7)])
     t = realize(fork)
     rng = random.Random(7)
@@ -699,8 +746,8 @@ def test_explicit_trees_take_generic_path(monkeypatch):
     assert w is not None and verify_witness(g, realize(fork), w)
     c5 = SimpleGraph.circulant(5, [1])
     assert contains_tree(c5, fork) is None  # needs a degree-3 vertex
-    # the fork's internal vertices 1, 2 induce a star, so it takes the
-    # skeleton search; a six-vertex path given by its edges does not
+    # every tree, a six-vertex path given by its edges among them, goes
+    # through generic_backtrack
     seen = []
     engine = containment.generic_backtrack
     monkeypatch.setattr(

@@ -1,15 +1,12 @@
-"""Forbidden-tree families: realization, degrees, skeletons, spec strings."""
+"""Forbidden-tree families: realization, degrees, spider shapes, spec strings."""
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from turantrees.containment import build_star_skeleton
-from turantrees.graphs import SimpleGraph
+from turantrees.graphs import SimpleGraph, iter_bits
 from turantrees.trees import (
     explicit_tree,
     is_tree,
@@ -98,7 +95,7 @@ def test_max_degree_of_paths_and_stars():
     assert realize(star(7)).max_degree() == 7
 
 
-# ------------------------------------------------------------------ skeletons
+# -------------------------------------------------------------- spider shapes
 
 @pytest.mark.parametrize(
     "maker,n_branches,branch_demands",
@@ -106,31 +103,19 @@ def test_max_degree_of_paths_and_stars():
 )
 @pytest.mark.parametrize("n", [10, 15, 20])
 def test_skeleton_decomposition(maker, n_branches, branch_demands, n):
-    f = maker(n)
-    sk = build_star_skeleton(realize(f))
-    assert sk is not None
-    assert sk.center == 0
-    assert sk.branches == tuple(range(1, n_branches + 1))
-    assert len(sk.center_leaves) == n - 5 - (n_branches - 1)
-    assert tuple(len(b) for b in sk.branch_leaves) == branch_demands
+    # the internal vertices induce a star: centre 0 joined to the branches
+    # 1..n_branches, and every other vertex is a leaf of one of them
+    t = realize(maker(n))
+    branches = range(1, n_branches + 1)
+    internal = [v for v in range(n) if t.degree(v) >= 2]
+    assert internal == [0, *branches]
+    center_leaves = [v for v in iter_bits(t.adj[0]) if t.degree(v) == 1]
+    branch_leaves = [[v for v in iter_bits(t.adj[b]) if v != 0] for b in branches]
+    assert len(center_leaves) == n - 5 - (n_branches - 1)
+    assert tuple(map(len, branch_leaves)) == branch_demands
+    assert all(t.degree(v) == 1 for leaves in branch_leaves for v in leaves)
     # internal vertices + all leaves account for every tree vertex
-    internal = 1 + len(sk.branches)
-    leaves = len(sk.center_leaves) + sum(len(b) for b in sk.branch_leaves)
-    assert internal + leaves == n
-    # reconstruction: center-leaf edges + branch edges + branch-leaf edges
-    # re-derive exactly the realized edge list
-    edges = [(sk.center, b) for b in sk.branches]
-    edges += [(sk.center, v) for v in sk.center_leaves]
-    for b, leaf_block in zip(sk.branches, sk.branch_leaves):
-        edges += [(b, v) for v in leaf_block]
-    rebuilt = SimpleGraph.from_edges(n, edges)
-    assert rebuilt == realize(f)
-
-
-def test_skeleton_absent_for_degenerate_member():
-    # tppp at n=6 is a path; its internal vertices do not induce a star,
-    # so the star-skeleton fast path must decline it.
-    assert build_star_skeleton(realize(tppp(6))) is None
+    assert len(internal) + len(center_leaves) + sum(map(len, branch_leaves)) == n
 
 
 def prufer_tree(n: int, seq: tuple[int, ...]) -> SimpleGraph:
@@ -146,40 +131,6 @@ def prufer_tree(n: int, seq: tuple[int, ...]) -> SimpleGraph:
         deg[x] -= 1
     edges.append(tuple(v for v in range(n) if deg[v] == 1))
     return SimpleGraph.from_edges(n, edges)
-
-
-def test_skeleton_on_every_labelled_tree_up_to_7_vertices():
-    for n in range(1, 8):
-        seqs = itertools.product(range(n), repeat=n - 2) if n >= 2 else []
-        trees = [prufer_tree(n, seq) for seq in seqs] or [SimpleGraph(1)]
-        for t in trees:
-            internal = [v for v in range(n) if t.degree(v) >= 2]
-            # brute force: some internal vertex is adjacent to every other
-            # internal vertex, and no two others are adjacent
-            stars = [
-                c for c in internal
-                if all(t.has_edge(c, v) for v in internal if v != c)
-                and not any(
-                    t.has_edge(a, b)
-                    for a, b in itertools.combinations(internal, 2)
-                    if c not in (a, b)
-                )
-            ]
-            sk = build_star_skeleton(t)
-            assert (sk is not None) == bool(stars), t.adj
-            if sk is None:
-                continue
-            # the centre: the only candidate, or of two, the higher degree
-            # and then the lower index
-            assert sk.center == min(stars, key=lambda c: (-t.degree(c), c))
-            assert sorted((sk.center, *sk.branches)) == internal
-            counts = [len(ls) for ls in sk.branch_leaves]
-            assert counts == sorted(counts, reverse=True)
-            edges = [(sk.center, b) for b in sk.branches]
-            edges += [(sk.center, v) for v in sk.center_leaves]
-            for b, leaf_block in zip(sk.branches, sk.branch_leaves):
-                edges += [(b, v) for v in leaf_block]
-            assert SimpleGraph.from_edges(n, edges) == t
 
 
 # ------------------------------------------------------------------- explicit
