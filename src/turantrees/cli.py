@@ -51,7 +51,7 @@ from .formulas import (
 )
 from .constructions import block_rows, extremal_graph
 from .containment import contains_tree, verify_witness
-from .oracle import ex_bruteforce, verify_formula
+from .oracle import MAX_ORACLE_ORDER, ex_bruteforce, verify_formula
 
 __all__ = ["main", "build_parser", "eval_nexpr"]
 
@@ -179,6 +179,7 @@ def _cmd_oracle(args) -> tuple[dict, int]:
         "budget_reason": res.budget_reason,
         "seed": {"edges": res.seed_edges, "host": res.seed_host},
         "nodes": res.nodes,
+        "anchored": res.anchored,
         "elapsed": round(res.elapsed, 6),
         "witness_graph6": to_graph6(res.witness),
         "formula": formula,
@@ -449,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("family_spec", help="t3:15, tpp:15, tppp:15, path:7, star:9, file:PATH")
 
     sp = sub.add_parser("oracle", help="brute-force reference maximum")
-    sp.add_argument("p", type=int, help="host order (desk scale, p <= 9ish)")
+    sp.add_argument("p", type=int, help=f"host order, at most {MAX_ORACLE_ORDER}")
     sp.add_argument("family_spec")
     # Serial only; the flag stays because existing callers pass --threads 1.
     sp.add_argument("--threads", type=int, default=1, help="must be 1")

@@ -20,10 +20,10 @@ tree vertex ``i``, or ``None`` when no embedding exists.
 
 The module also exposes the engine hook the brute-force oracle needs: an
 anchored check for embeddings that use one prescribed host edge, which
-places every tree vertex by recursive backtracking.  It pins one directed
-tree edge per orbit under the tree's automorphisms, since an automorphism
-carries an embedding pinned at one edge of an orbit to one pinned at any
-other.
+places every tree vertex by recursive backtracking and returns a witness
+in the same form.  It pins one directed tree edge per orbit under the
+tree's automorphisms, since an automorphism carries an embedding pinned at
+one edge of an orbit to one pinned at any other.
 """
 
 from __future__ import annotations
@@ -364,11 +364,9 @@ def verify_witness(g: SimpleGraph, t: SimpleGraph, witness: tuple[int, ...]) -> 
 
 # ---------------------------------------------------------------- oracle hook
 
-@lru_cache(maxsize=64)
 def edge_anchored_contexts(t: SimpleGraph) -> tuple[TreeEmbedContext, ...]:
     """One context per orbit of directed tree edges ``(a, b)`` under the
-    tree's automorphisms, with ``a, b`` pinned as the first two placements;
-    built once per tree.
+    tree's automorphisms, with ``a, b`` pinned as the first two placements.
 
     Used for incremental containment: a new embedding appearing after adding
     host edge ``{x, y}`` must map some tree edge onto it, in one of the two
@@ -419,9 +417,10 @@ def contains_through_edge(
     contexts: tuple[TreeEmbedContext, ...],
     x: int,
     y: int,
-) -> bool:
-    """Does the host (given as bitmask rows) contain the prepared tree via an
-    embedding that maps some tree edge onto the host edge ``{x, y}``?"""
+) -> tuple[int, ...] | None:
+    """An embedding of the prepared tree into the host (given as bitmask
+    rows) that maps some tree edge onto the host edge ``{x, y}``: a witness
+    tuple (tree vertex ``i`` maps to host ``w[i]``), or None."""
     for ctx in contexts:
         a, b = ctx.order[0], ctx.order[1]
         if hdeg[x] < ctx.tdeg[a] or hdeg[y] < ctx.tdeg[b]:
@@ -430,5 +429,8 @@ def contains_through_edge(
         assign[0] = x
         assign[1] = y
         if _engine(hadj, hdeg, ctx, assign, (1 << x) | (1 << y), 2):
-            return True
-    return False
+            witness = [-1] * len(assign)
+            for v, w in zip(ctx.order, assign):
+                witness[v] = w
+            return tuple(witness)
+    return None

@@ -3,7 +3,7 @@
 ``ex_bruteforce`` maximizes edges over all graphs on ``p`` labeled vertices
 that avoid a given tree, by depth-first search over the edge slots in
 lexicographic order (all slots at vertex 0 first), include-branch first.
-Five exact prunes keep it fast:
+Six exact prunes keep it fast:
 
 * **Incremental containment** -- the partial graph is kept avoider-safe at
   every step: an edge is included only if no embedding of the tree maps one
@@ -49,6 +49,19 @@ Five exact prunes keep it fast:
   first node.  The first optimum in include-first order has at least the
   seed's edge count, so no cut removes it before it is found: the value
   and the witness are unchanged and only the node count falls.
+* **Anchored memo** (nogood recording in the sense of Schiex and
+  Verfaillie, *Int. J. on Artificial Intelligence Tools* 1994) -- with
+  the included edges kept as a mask over slot indices, each slot ``i``
+  remembers the edges of the last embedding found through it (``hit``)
+  and the last graph, slot ``i`` included, shown tree-free there
+  (``free``).  Containment is monotone in the host.  If the remembered
+  embedding lies inside the new graph, the new graph contains the tree
+  through slot ``i``.  If the new graph lies inside the remembered
+  tree-free one, it holds no embedding at all, through slot ``i`` or
+  elsewhere.  Either answer is the one the anchored check would give, so
+  the search tree, the value and the witness are unchanged and only the
+  anchored checks fall (t3:11 at p = 12: 44,027 to 2,225).  A small
+  component (``_reaches``) also records its graph as tree-free.
 
 The tree's anchored contexts (``edge_anchored_contexts``) are prepared once
 per tree and shared by every search on it.
@@ -62,6 +75,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .constructions import clique_union, near_regular
@@ -98,7 +112,10 @@ class OracleResult:
     budget ("node budget exhausted" or "time budget exhausted"), and is
     None for an exact run.  ``seed_edges`` is the edge count of the known
     tree-free host the search had to beat, and ``seed_host`` its kind
-    ("clique-union" or "near-regular")."""
+    ("clique-union" or "near-regular").  ``anchored`` counts the work of
+    the incremental check: ``searches`` anchored checks were run
+    (``contains_through_edge``), and ``memo_hits`` include branches were
+    answered by the memo without one."""
 
     p: int
     value: int
@@ -109,6 +126,7 @@ class OracleResult:
     budget_reason: str | None
     seed_edges: int
     seed_host: str
+    anchored: dict[str, int]
 
 
 # ---------------------------------------------------------------- search core
@@ -117,23 +135,25 @@ class _BruteForce:
     """One depth-first search instance over the edge-slot tree."""
 
     __slots__ = (
-        "p", "slots", "contexts", "tree_n", "rows", "deg", "m",
+        "p", "slots", "bits", "contexts", "edges", "tree_n", "rows", "deg", "m",
         "best", "best_rows", "nodes", "budget_nodes", "deadline",
+        "hit", "free", "searches", "memo_hits",
     )
 
     def __init__(
         self,
         p: int,
         contexts: tuple[TreeEmbedContext, ...],
-        tree_n: int,
+        edges: tuple[tuple[int, int], ...],
         budget_nodes: int,
         deadline: float,
         floor: int,
     ):
         self.p = p
-        self.slots = [(u, v) for u in range(p) for v in range(u + 1, p)]
+        self.slots, self.bits = _slot_layout(p)
         self.contexts = contexts
-        self.tree_n = tree_n
+        self.edges = edges
+        self.tree_n = len(edges) + 1
         self.rows = [0] * p
         self.deg = [0] * p
         self.m = 0
@@ -142,6 +162,33 @@ class _BruteForce:
         self.nodes = 0
         self.budget_nodes = budget_nodes
         self.deadline = deadline
+        # The anchored memo, one entry per slot i.  ``hit[i]``: the slots of
+        # the last embedding found through slot i (-1, never a subset, before
+        # the first).  ``free[i]``: the last graph, slot i included, shown
+        # tree-free at slot i (0, never holding slot i, before the first).
+        self.hit = [-1] * len(self.slots)
+        self.free = [0] * len(self.slots)
+        self.searches = 0
+        self.memo_hits = 0
+
+    def _check(self, i: int, g: int, u: int, v: int) -> bool:
+        """Whether the graph ``g``, which has just gained slot ``i = (u, v)``,
+        contains the tree, by the anchored check; the answer is remembered.
+        Any new embedding sits inside u's component and must use the new
+        edge, so a small component needs no check at all."""
+        found = None
+        if self._reaches(u, self.tree_n):
+            self.searches += 1
+            found = contains_through_edge(self.rows, self.deg, self.contexts, u, v)
+        if found is None:
+            self.free[i] = g
+            return False
+        bits = self.bits
+        mask = 0
+        for a, b in self.edges:
+            mask |= bits[found[a]][found[b]]
+        self.hit[i] = mask
+        return True
 
     def _reaches(self, start: int, n: int) -> bool:
         """Whether ``start``'s component in the current partial graph has at
@@ -161,7 +208,9 @@ class _BruteForce:
                 return True
         return False
 
-    def dfs(self, i: int, room: int) -> None:
+    def dfs(self, i: int, room: int, g: int) -> None:
+        """Decide slot ``i`` onwards; ``g`` is the slot mask of the included
+        edges and ``room`` the room of the search (``_initial_room``)."""
         self.nodes += 1
         if self.nodes >= self.budget_nodes:
             raise BudgetExceeded("node budget exhausted")
@@ -178,6 +227,7 @@ class _BruteForce:
         # takes one unit of ``room`` at each end (see ``_initial_room``).
         p = self.p
         deg = self.deg
+        rows = self.rows
         if i == p - 1:
             room = _initial_room(p, deg)
         if self.m + min(len(self.slots) - i, room // 2) <= self.best:
@@ -189,7 +239,6 @@ class _BruteForce:
         if allowed:
             # Prefix cut: u may take v only if it took the nearest vertex
             # between them with the same decided neighbours below u.
-            rows = self.rows
             low = (1 << u) - 1
             key = rows[v] & low
             for w in range(v - 1, u, -1):
@@ -201,24 +250,56 @@ class _BruteForce:
         # were no more than its spare degree.
         spent = (p - v <= cap - deg[u]) + (p - 1 - u <= cap - deg[v])
         if allowed:
-            self.rows[u] |= 1 << v
-            self.rows[v] |= 1 << u
-            deg[u] += 1
-            deg[v] += 1
-            self.m += 1
-            # Any new embedding sits inside u's component and must use the
-            # new edge, so small components need no engine call at all.
-            created = self._reaches(u, self.tree_n) and contains_through_edge(
-                self.rows, deg, self.contexts, u, v
-            )
+            # The anchored memo answers first, when it knows: a remembered
+            # embedding through slot i inside g2 says yes, and a remembered
+            # tree-free graph at slot i holding g2 says no.
+            g2 = g | 1 << i
+            if not self.hit[i] & ~g2:
+                self.memo_hits += 1
+                created = True
+            elif not g2 & ~self.free[i]:
+                self.memo_hits += 1
+                created = False
+            else:
+                created = None
             if not created:
-                self.dfs(i + 1, room - 2)
-            self.rows[u] ^= 1 << v
-            self.rows[v] ^= 1 << u
-            deg[u] -= 1
-            deg[v] -= 1
-            self.m -= 1
-        self.dfs(i + 1, room - spent)
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                deg[u] += 1
+                deg[v] += 1
+                self.m += 1
+                if created is None:
+                    created = self._check(i, g2, u, v)
+                if not created:
+                    self.dfs(i + 1, room - 2, g2)
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+                deg[u] -= 1
+                deg[v] -= 1
+                self.m -= 1
+        self.dfs(i + 1, room - spent, g)
+
+
+@lru_cache(maxsize=64)
+def _prepared(
+    f: TreeFamily,
+) -> tuple[SimpleGraph, tuple[TreeEmbedContext, ...], tuple[tuple[int, int], ...]]:
+    """The tree of ``f``, its anchored contexts (``edge_anchored_contexts``)
+    and its edges, built once per tree and shared by every search on it."""
+    t = realize(f)
+    return t, edge_anchored_contexts(t), tuple(t.edges())
+
+
+@lru_cache(maxsize=64)
+def _slot_layout(p: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The vertex pairs of ``p`` vertices in lexicographic order (the edge
+    slots), and each pair's slot bit: ``bits[u][v] = bits[v][u] = 1 << i``
+    for slot ``i = (u, v)``.  Built once per host order."""
+    slots = tuple((u, v) for u in range(p) for v in range(u + 1, p))
+    bits = [[0] * p for _ in range(p)]
+    for i, (u, v) in enumerate(slots):
+        bits[u][v] = bits[v][u] = 1 << i
+    return slots, tuple(map(tuple, bits))
 
 
 def _initial_room(p: int, deg: list[int]) -> int:
@@ -261,6 +342,7 @@ def _result(
     rows: list[int] | None,
     reason: str | None,
     nodes: int,
+    anchored: dict[str, int],
     started: float,
 ) -> OracleResult:
     """The outcome of a search whose incumbent has adjacency ``rows``, or
@@ -278,6 +360,7 @@ def _result(
         budget_reason=reason,
         seed_edges=seed[0],
         seed_host=seed[1],
+        anchored=anchored,
     )
 
 
@@ -300,15 +383,16 @@ def ex_bruteforce(
     """
     if p < 1:
         raise ValueError(f"ex_bruteforce requires p >= 1 (got p={p})")
-    t = realize(f)
-    if t.n == 1:
+    if f.n == 1:
         raise ValueError("the one-vertex tree is contained in every non-empty host")
 
     started = time.monotonic()
-    if t.n > p:
+    if f.n > p:
         # K_p is a clique union: no component has the tree's order.
         seed = (comb(p, 2), "clique-union")
-        return _result(p, t, seed, SimpleGraph.complete(p).adj, None, 0, started)
+        anchored = {"searches": 0, "memo_hits": 0}
+        rows = SimpleGraph.complete(p).adj
+        return _result(p, realize(f), seed, rows, None, 0, anchored, started)
 
     if p > MAX_ORACLE_ORDER:
         raise ValueError(
@@ -318,15 +402,17 @@ def ex_bruteforce(
     nodes_budget = DEFAULT_BUDGET_NODES if budget_nodes is None else budget_nodes
     seconds = DEFAULT_BUDGET_SECONDS if budget_seconds is None else budget_seconds
     deadline = started + seconds
+    t, contexts, edges = _prepared(f)
     seed = _seed(p, t)
-    bf = _BruteForce(p, edge_anchored_contexts(t), t.n, nodes_budget, deadline, seed[0])
+    bf = _BruteForce(p, contexts, edges, nodes_budget, deadline, seed[0])
     try:
         # Before slot (1, 2) no room is known; twice the slot count never cuts.
-        bf.dfs(0, 2 * len(bf.slots))
+        bf.dfs(0, 2 * len(bf.slots), 0)
         reason = None
     except BudgetExceeded as exc:
         reason = str(exc)
-    return _result(p, t, seed, bf.best_rows, reason, bf.nodes, started)
+    anchored = {"searches": bf.searches, "memo_hits": bf.memo_hits}
+    return _result(p, t, seed, bf.best_rows, reason, bf.nodes, anchored, started)
 
 
 def verify_formula(
@@ -355,6 +441,7 @@ def verify_formula(
                 "exact": res.exact,
                 "budget_reason": res.budget_reason,
                 "nodes": res.nodes,
+                "anchored": res.anchored,
                 "seed": {"edges": res.seed_edges, "host": res.seed_host},
             }
         )

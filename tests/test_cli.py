@@ -291,6 +291,21 @@ def test_oracle_reports_its_seed(capsys):
         assert row["seed"]["edges"] <= row["oracle"]
 
 
+def test_oracle_reports_its_anchored_counts(capsys):
+    # run_cli validates each report against the schema, which requires the
+    # counts in both reports; a report without them is rejected
+    _, rep = run_cli(capsys, "oracle", "8", "path:4")
+    assert set(rep["anchored"]) == {"searches", "memo_hits"}
+    assert rep["anchored"]["searches"] > 0 and rep["anchored"]["memo_hits"] > 0
+    del rep["anchored"]
+    assert not REPORT_VALIDATOR.is_valid(rep)
+    _, rep = run_cli(capsys, "verify", "--n", "15..15", "--p", "n", "--oracle")
+    rows = rep["results"]["oracle"]["rows"]
+    assert all(row["anchored"]["searches"] >= 0 for row in rows)
+    del rows[0]["anchored"]
+    assert not REPORT_VALIDATOR.is_valid(rep)
+
+
 def test_oracle_no_formula_family(capsys, tmp_path):
     tree_file = tmp_path / "fork.edges"
     tree_file.write_text("0 1\n1 2\n2 3\n1 4\n")

@@ -269,6 +269,12 @@ def test_edge_anchored_contexts_one_per_edge_orbit():
     assert len(edge_anchored_contexts(realize(star(6)))) == 2
 
 
+def assert_anchored_witness(g: SimpleGraph, t: SimpleGraph, w, u: int, v: int) -> None:
+    """``w`` embeds ``t`` in ``g`` and maps some tree edge onto ``{u, v}``."""
+    assert verify_witness(g, t, w)
+    assert any({w[a], w[b]} == {u, v} for a, b in t.edges())
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_contains_through_edge_matches_reference(seed):
@@ -281,9 +287,9 @@ def test_contains_through_edge_matches_reference(seed):
     if not he:
         return
     u, v = rng.choice(he)
-    ctxs = edge_anchored_contexts(SimpleGraph.from_edges(tn, te))
+    t = SimpleGraph.from_edges(tn, te)
     hdeg = [g.degree(x) for x in range(p)]
-    got = contains_through_edge(g.adj, hdeg, ctxs, u, v)
+    got = contains_through_edge(g.adj, hdeg, edge_anchored_contexts(t), u, v)
     # reference: some injection must map some tree edge exactly onto {u, v}
     expected = False
     adj = R.adjacency_sets(p, he)
@@ -293,7 +299,9 @@ def test_contains_through_edge_matches_reference(seed):
         if any({image[a], image[b]} == {u, v} for a, b in te):
             expected = True
             break
-    assert got == expected
+    assert (got is not None) == expected
+    if got is not None:
+        assert_anchored_witness(g, t, got, u, v)
 
 
 def leg(length: int) -> list[tuple[int, int]]:
@@ -338,16 +346,18 @@ def test_contains_through_edge_matches_reference_on_spiders_and_stars(seed):
         return
     g = host_from_edges(p, he)
     u, v = rng.choice(he)
-    ctxs = edge_anchored_contexts(SimpleGraph.from_edges(tn, te))
+    t = SimpleGraph.from_edges(tn, te)
     hdeg = [g.degree(x) for x in range(p)]
-    got = contains_through_edge(g.adj, hdeg, ctxs, u, v)
+    got = contains_through_edge(g.adj, hdeg, edge_anchored_contexts(t), u, v)
     adj = R.adjacency_sets(p, he)
     expected = any(
         all(image[b] in adj[image[a]] for a, b in te)
         and any({image[a], image[b]} == {u, v} for a, b in te)
         for image in itertools.permutations(range(p), tn)
     )
-    assert got == expected
+    assert (got is not None) == expected
+    if got is not None:
+        assert_anchored_witness(g, t, got, u, v)
 
 
 # ------------------------------------------------------- performance contract

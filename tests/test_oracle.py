@@ -135,23 +135,31 @@ def test_tppp10_at_p10_is_exact_within_seconds():
 
 
 # The paper's own orders above p = n, where the residue is not 1.  Each
-# ceiling is below the node count of the search with the degree-capacity
-# bound ``(p deg(0) - 2 m) / 2`` in place of the room bound.
+# node ceiling is below the node count of the search with the
+# degree-capacity bound ``(p deg(0) - 2 m) / 2`` in place of the room bound;
+# each search ceiling is half the anchored searches without the memo.
 @pytest.mark.parametrize(
-    "p,f,value,ceiling",
+    "p,f,value,ceiling,searches",
     [
-        (11, t3(10), 37, 80_000),  # capacity bound: 175,903 nodes
-        (11, tpp(10), 37, 80_000),  # 131,991
-        (13, t3(13), 66, 50_000),  # 93,813
-        (13, tpp(13), 66, 50_000),  # 94,006
-        (12, t3(11), 46, 400_000),  # 1,211,585
+        # capacity bound: 175,903 nodes; without the memo: 9,046 searches
+        (11, t3(10), 37, 80_000, 4_523),
+        (11, tpp(10), 37, 80_000, 4_123),  # 131,991; 8,246
+        (13, t3(13), 66, 50_000, 1_249),  # 93,813; 2,498
+        (13, tpp(13), 66, 50_000, 1_267),  # 94,006; 2,534
+        (12, t3(11), 46, 400_000, 22_013),  # 1,211,585; 44,027
+        (11, tppp(10), 37, 100_000, 13_848),  # 183,219; 27,697
+        (13, tppp(13), 66, 50_000, 2_107),  # 98,824; 4,215
     ],
-    ids=["t3-10-p11", "tpp10-p11", "t3-13-p13", "tpp13-p13", "t3-11-p12"],
+    ids=[
+        "t3-10-p11", "tpp10-p11", "t3-13-p13", "tpp13-p13", "t3-11-p12",
+        "tppp10-p11", "tppp13-p13",
+    ],
 )
-def test_real_order_slice_is_exact(p, f, value, ceiling):
+def test_real_order_slice_is_exact(p, f, value, ceiling, searches):
     res = ex_bruteforce(p, f)
     assert res.value == extremal_value(f, p, partial=True).value == value
     assert res.nodes < ceiling
+    assert res.anchored["searches"] < searches
     check_result(res, p, f)
 
 
@@ -328,6 +336,43 @@ def test_room_bound_matches_unbounded_search(monkeypatch):
         assert (a.value, a.exact, a.witness) == (b.value, b.exact, b.witness), (p, f)
         assert a.nodes <= b.nodes, (p, f)
     assert sum(a.nodes for a in bounded) < sum(b.nodes for b in unbounded)
+
+
+def test_anchored_memo_matches_search_without_it(monkeypatch):
+    # both memo answers are exact, so the search tree is the same: only the
+    # anchored searches fall
+    searches = []
+
+    def run_all() -> tuple[list[OracleResult], list[int]]:
+        results, counts = [], []
+        for p, f in DESK_GRID:
+            searches.clear()
+            results.append(ex_bruteforce(p, f))
+            counts.append(len(searches))
+        return results, counts
+
+    real = oracle.contains_through_edge
+    monkeypatch.setattr(
+        oracle, "contains_through_edge", lambda *args: searches.append(1) or real(*args)
+    )
+    memo, memo_searches = run_all()
+    check = oracle._BruteForce._check
+
+    def check_and_forget(self, i, g, u, v):
+        # with nothing remembered, the memo never answers
+        created = check(self, i, g, u, v)
+        self.hit[i], self.free[i] = -1, 0
+        return created
+
+    monkeypatch.setattr(oracle._BruteForce, "_check", check_and_forget)
+    plain, plain_searches = run_all()
+    for (p, f), a, b, sa, sb in zip(DESK_GRID, memo, plain, memo_searches, plain_searches):
+        same = (a.value, a.exact, a.witness, a.nodes) == (b.value, b.exact, b.witness, b.nodes)
+        assert same, (p, f)
+        assert sa <= sb, (p, f)
+        assert (a.anchored["searches"], b.anchored["searches"]) == (sa, sb), (p, f)
+        assert b.anchored["memo_hits"] == 0, (p, f)
+    assert sum(memo_searches) < sum(plain_searches)
 
 
 def test_budget_stop_returns_the_seed_host():
