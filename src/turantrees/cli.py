@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Every subcommand prints one JSON report to stdout (schema in the packaged
+The CLI only parses arguments and prints reports: each subcommand calls the
+library (``verify`` calls :func:`turantrees.verify.sweep`) and wraps what it
+returns in one JSON report on stdout (schema in the packaged
 ``report_schema.json``); progress notes go to stderr unless ``--quiet``.
 Exit codes: 0 = success and all assertions passed; 1 = a verification
 failed or an oracle run was inexact; 2 = domain or input error (the message
@@ -26,55 +28,35 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from dataclasses import asdict
-from functools import lru_cache, reduce
-from math import comb
-from operator import or_
+from functools import lru_cache
 
-from .graphs import SimpleGraph, read_graph_file, to_graph6, write_graph_file
+from .graphs import read_graph_file, to_graph6, write_graph_file
 from .trees import parse_family_spec, realize, spec_string
-from .formulas import (
-    CASES,
-    MIN_N,
-    decompose,
-    ex_t3,
-    ex_tpp,
-    ex_tppp,
-    extremal_value,
-    generic_max_form,
-    lower_bound,
-    residue_case,
-    upper_bound,
-)
-from .constructions import block_rows, extremal_graph
+from .formulas import decompose, extremal_value
+from .constructions import extremal_graph
 from .containment import contains_tree, verify_witness
-from .oracle import MAX_ORACLE_ORDER, ex_bruteforce, verify_formula
+from .oracle import MAX_ORACLE_ORDER, ex_bruteforce
+from .verify import eval_nexpr, sweep
 
 __all__ = ["main", "build_parser", "eval_nexpr"]
 
-def eval_nexpr(expr: str, n: int) -> int:
-    """Evaluate a bound expression: ``20``, ``n``, ``2n-9``, ``4n``, ``n+8``."""
-    s = expr.strip().replace(" ", "")
-    m = re.fullmatch(r"(\d*)n([+-]\d+)?", s)
-    if m:
-        coeff = int(m.group(1)) if m.group(1) else 1
-        offset = int(m.group(2)) if m.group(2) else 0
-        return coeff * n + offset
-    if re.fullmatch(r"[+-]?\d+", s):
-        return int(s)
-    raise ValueError(
-        f"bad expression {expr!r}: use an integer or forms like 'n', '2n-9', '4n'"
-    )
+
+def _nexpr(expr: str) -> str:
+    eval_nexpr(expr, 0)  # raises ValueError on a malformed expression
+    return expr
 
 
-def _parse_span(text: str) -> tuple[str, str]:
+def _span(flag: str, text: str, parse, form: str) -> tuple:
+    """The bounds of ``A..B``, or of ``A`` read as ``A..A``, each read by
+    ``parse``; a malformed span is an error that names ``flag``."""
     a, sep, b = text.partition("..")
-    if not a.strip():
-        raise ValueError(f"bad range {text!r}")
-    return (a, b) if sep else (a, a)
+    try:
+        return parse(a), parse(b if sep else a)
+    except ValueError:
+        raise ValueError(f"{flag} takes A or A..B with A, B {form} (got {text!r})") from None
 
 
 def _log(quiet: bool, msg: str) -> None:
@@ -83,32 +65,29 @@ def _log(quiet: bool, msg: str) -> None:
 
 
 # ---------------------------------------------------------------- subcommands
+# Each returns its report and whether it passed; ``main`` adds ``command`` and
+# ``ok`` to the report and chooses the exit code.
 
-def _cmd_formula(args) -> tuple[dict, int]:
+def _cmd_formula(args) -> tuple[dict, bool]:
     f = parse_family_spec(f"{args.family}:{args.n}")
-    p = args.p
-    ev = extremal_value(f, p, partial=args.partial)
+    ev = extremal_value(f, args.p, partial=args.partial)
     report = {
-        "command": "formula",
-        "ok": True,
         "family_spec": spec_string(f),
         "n": args.n,
-        "p": p,
+        "p": args.p,
         "value": ev.value,
         "branch": ev.branch,
         "partial": bool(args.partial),
     }
-    return report, 0
+    return report, True
 
 
-def _cmd_construct(args) -> tuple[dict, int]:
+def _cmd_construct(args) -> tuple[dict, bool]:
     f = parse_family_spec(f"{args.family}:{args.n}")
     g, recipe = extremal_graph(f, args.p, connected=args.connected)
     write_graph_file(g, args.out, fmt=args.format)
     _log(args.quiet, f"wrote {g.n} vertices / {recipe.edges} edges to {args.out}")
     report = {
-        "command": "construct",
-        "ok": True,
         "family_spec": spec_string(f),
         "p": args.p,
         "out": args.out,
@@ -119,10 +98,10 @@ def _cmd_construct(args) -> tuple[dict, int]:
         "edges": g.edge_count(),
         "max_degree": g.max_degree(),
     }
-    return report, 0
+    return report, True
 
 
-def _cmd_check(args) -> tuple[dict, int]:
+def _cmd_check(args) -> tuple[dict, bool]:
     started = time.perf_counter()
     g = read_graph_file(args.graph)
     read_s = time.perf_counter() - started
@@ -137,8 +116,6 @@ def _cmd_check(args) -> tuple[dict, int]:
     witness_s = time.perf_counter() - started
     ok = witness is None or bool(witness_valid)
     report = {
-        "command": "check",
-        "ok": ok,
         "graph": args.graph,
         "family_spec": spec_string(f),
         "order": g.n,
@@ -152,10 +129,10 @@ def _cmd_check(args) -> tuple[dict, int]:
             "witness_s": round(witness_s, 6),
         },
     }
-    return report, 0 if ok else 1
+    return report, ok
 
 
-def _cmd_oracle(args) -> tuple[dict, int]:
+def _cmd_oracle(args) -> tuple[dict, bool]:
     if args.threads != 1:
         raise ValueError("the oracle search is serial: --threads must be 1")
     f = parse_family_spec(args.family_spec)
@@ -170,215 +147,39 @@ def _cmd_oracle(args) -> tuple[dict, int]:
     equal = (res.value == formula) if (formula is not None and res.exact) else None
     ok = res.exact and equal is not False
     report = {
-        "command": "oracle",
-        "ok": ok,
         "p": args.p,
         "family_spec": spec_string(f),
         "value": res.value,
-        "exact": res.exact,
-        "budget_reason": res.budget_reason,
-        "seed": {"edges": res.seed_edges, "host": res.seed_host},
-        "nodes": res.nodes,
-        "anchored": res.anchored,
+        **res.search_fields(),
         "elapsed": round(res.elapsed, 6),
         "witness_graph6": to_graph6(res.witness),
         "formula": formula,
         "equal": equal,
     }
-    return report, 0 if ok else 1
+    return report, ok
 
 
-_ORACLE_SUITE: list[tuple[str, list[int]]] = [
-    ("path:4", [4, 5, 6, 7, 8]),
-    ("path:5", [5, 6, 7, 8]),
-    ("star:2", [3, 4, 5, 6, 7, 8]),
-    ("star:3", [4, 5, 6, 7, 8]),
-]
-
-
-def _base_rows(g: SimpleGraph, blocks: int, n: int) -> tuple[int, ...] | None:
-    """The rows of the base of ``g``, shifted down to vertex 0, if the first
-    ``blocks`` groups of ``n - 1`` vertices of ``g`` are complete blocks
-    ``K_{n-1}`` with no edge leaving them; else None.
-
-    A block has fewer than ``n`` vertices and a tree on ``n`` vertices is
-    connected, so ``g`` contains the tree exactly when its base does.
-    """
-    shift = blocks * (n - 1)
-    if shift == 0:
-        return tuple(g.adj)
-    if shift > g.n or tuple(g.adj[:shift]) != block_rows(blocks, n):
-        return None
-    rows = g.adj[shift:]
-    if reduce(or_, rows, 0) & ((1 << shift) - 1):
-        return None
-    return tuple([row >> shift for row in rows])
-
-
-def _cmd_verify(args) -> tuple[dict, int]:
+def _cmd_verify(args) -> tuple[dict, bool]:
     started = time.monotonic()
-    n_lo_s, n_hi_s = _parse_span(args.n)
-    n_lo, n_hi = int(n_lo_s), int(n_hi_s)
+    n_lo, n_hi = _span("--n", args.n, int, "integers")
     if n_lo > n_hi:
         raise ValueError(f"empty n range {args.n!r}")
-    p_lo_s, p_hi_s = _parse_span(args.p)
-    # Every grid check needs n >= 10 (the identity check's smallest order; a
-    # family's MIN_N is at least that) and p >= n.  The oracle sweep runs its
-    # own suite, so a grid without checks is an error only without it.
-    ns = range(max(n_lo, 10), n_hi + 1)
-    if not args.oracle:
-        if not ns:
-            raise ValueError(
-                f"n range {args.n!r} holds no n >= 10, the smallest order verify checks"
-            )
-        if all(max(eval_nexpr(p_lo_s, n), n) > eval_nexpr(p_hi_s, n) for n in ns):
-            raise ValueError(f"p range {args.p!r} holds no p >= n for any n in {args.n!r}")
-
+    p_span = _span("--p", args.p, _nexpr, "integers or forms like 'n', '2n-9', '4n'")
     families = [s.strip() for s in args.families.split(",") if s.strip()]
-    for tag in families:
-        if tag not in CASES:
-            raise ValueError(f"verify families must be among t3,tpp,tppp (got {tag!r})")
-
-    counts = {
-        name: {"checked": 0, "failures": 0}
-        for name in (
-            "identity",
-            "sandwich",
-            "recurrence",
-            "dominance",
-            "special_residues",
-            "constructions",
-        )
-    }
-    failures: list[dict] = []
-    # T-freeness of each distinct base checked so far, keyed by (family, rows).
-    base_free: dict[tuple, bool] = {}
-
-    def record(name: str, passed: bool, **info) -> None:
-        counts[name]["checked"] += 1
-        if not passed:
-            counts[name]["failures"] += 1
-            if len(failures) < 20:
-                failures.append({"check": name, **info})
-
-    for n in ns:
-        p_lo = eval_nexpr(p_lo_s, n)
-        p_hi = eval_nexpr(p_hi_s, n)
-        _log(args.quiet, f"verify: n={n}, p in [{p_lo}, {p_hi}]")
-        trees = {
-            tag: parse_family_spec(f"{tag}:{n}") for tag in families if n >= MIN_N[tag]
-        }
-        ps = range(max(p_lo, n), p_hi + 1)
-        for p in ps:
-            a = ex_tpp(p, n).value
-            b = ex_tppp(p, n).value
-            c = generic_max_form(p, n).value
-            record("identity", a == b == c, n=n, p=p)
-
-        # Families outside, p inside: the look-back p - (n-1) of the
-        # recurrence then stays within extremal_value's cache.
-        for tag, f in trees.items():
-            for p in ps:
-                value = extremal_value(f, p).value
-
-                lb, ub = lower_bound(p, n), upper_bound(p, n)
-                record(
-                    "sandwich", lb <= value <= ub,
-                    family=tag, n=n, p=p, value=value, lower=lb, upper=ub,
-                )
-
-                if p >= 2 * n - 6:
-                    prev = extremal_value(f, p - (n - 1)).value
-                    record(
-                        "recurrence", value == comb(n - 1, 2) + prev,
-                        family=tag, n=n, p=p,
-                    )
-
-                if tag == "t3":
-                    d = decompose(p, n)
-                    vg = generic_max_form(p, n).value
-                    strict = (d.r == n - 8 and n >= 28) or (
-                        d.r == n - 7 and n >= 41
-                    )
-                    dominance_ok = value >= vg and (value > vg) == strict
-                    record("dominance", dominance_ok, n=n, p=p, r=d.r)
-                    if d.r in {0, 1, 2, n - 5, n - 4, n - 3, n - 2}:
-                        base = d.k * comb(n - 1, 2) + comb(d.r, 2)
-                        ev = ex_t3(p, n)
-                        record(
-                            "special_residues",
-                            ev.value == base and ev.branch == "Thm4.1",
-                            n=n, p=p, r=d.r,
-                        )
-
-                variants = [{}]
-                if residue_case(tag, n, p % (n - 1)).has_connected(n):
-                    variants.append({"connected": True})
-                for variant in variants:
-                    try:
-                        g, recipe = extremal_graph(f, p, **variant)
-                        rows = _base_rows(g, recipe.prepended_blocks, n)
-                        construction_ok = recipe.edges == value and rows is not None
-                        if construction_ok:
-                            construction_ok = base_free.get((f, rows))
-                            if construction_ok is None:
-                                base = SimpleGraph(len(rows), list(rows))
-                                construction_ok = contains_tree(base, f) is None
-                                base_free[f, rows] = construction_ok
-                    except (ValueError, AssertionError):
-                        construction_ok = False
-                    record(
-                        "constructions", construction_ok,
-                        family=tag, n=n, p=p, **variant,
-                    )
-
-    results: dict = dict(counts)
-    if failures:
-        results["failures_detail"] = failures
-
-    if args.oracle:
-        oracle_rows = []
-        oracle_all_equal = True
-        for spec, ps in _ORACLE_SUITE:
-            f = parse_family_spec(spec)
-            _log(args.quiet, f"verify: oracle sweep {spec} over p={ps}")
-            rep = verify_formula(
-                f, ps, budget_nodes=args.budget_nodes, budget_seconds=args.budget_seconds
-            )
-            for row in rep["rows"]:
-                row["family_spec"] = spec
-                oracle_rows.append(row)
-            oracle_all_equal = oracle_all_equal and rep["all_equal"]
-        results["oracle"] = {"rows": oracle_rows, "all_equal": oracle_all_equal}
-
-    total = sum(c["checked"] for c in counts.values())
-    failure_count = sum(c["failures"] for c in counts.values())
-    ok = failure_count == 0 and (
-        not args.oracle or results["oracle"]["all_equal"]
+    results, counts = sweep(
+        (n_lo, n_hi), p_span, families, oracle=args.oracle, budget_nodes=args.budget_nodes,
+        budget_seconds=args.budget_seconds, log=lambda msg: _log(args.quiet, msg),
     )
-    if args.oracle:
-        total += len(results["oracle"]["rows"])
-        failure_count += sum(
-            0 if row["equal"] else 1 for row in results["oracle"]["rows"]
-        )
-
     report = {
-        "command": "verify",
-        "ok": ok,
-        "params": {
-            "n": [n_lo, n_hi],
-            "p": args.p,
-            "families": families,
-            "oracle": bool(args.oracle),
-        },
+        "params": {"n": [n_lo, n_hi], "p": args.p, "families": families, "oracle": args.oracle},
         "results": results,
-        "counts": {"total": total, "failures": failure_count},
+        "counts": counts,
         "timing": {"elapsed": round(time.monotonic() - started, 3)},
     }
-    return report, 0 if ok else 1
+    return report, counts["failures"] == 0
 
 
-def _cmd_table(args) -> tuple[dict, int]:
+def _cmd_table(args) -> tuple[dict, bool]:
     f = parse_family_spec(f"{args.family}:{args.n}")
     if args.pmin > args.pmax:
         raise ValueError(f"empty p range [{args.pmin}, {args.pmax}]")
@@ -394,8 +195,6 @@ def _cmd_table(args) -> tuple[dict, int]:
             k, r = d.k, d.r
         rows.append({"p": p, "k": k, "r": r, "value": ev.value, "branch": ev.branch})
     report = {
-        "command": "table",
-        "ok": True,
         "family_spec": spec_string(f),
         "n": args.n,
         "rows": rows,
@@ -406,8 +205,8 @@ def _cmd_table(args) -> tuple[dict, int]:
             f"{row['p']},{row['k']},{row['r']},{row['value']},{row['branch']}"
             for row in rows
         ]
-        return {"_csv": "\n".join(lines) + "\n", **report}, 0
-    return report, 0
+        return {"_csv": "\n".join(lines) + "\n", **report}, True
+    return report, True
 
 
 # ---------------------------------------------------------------- entry point
@@ -501,7 +300,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        report, code = _DISPATCH[args.command](args)
+        report, ok = _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:
         error_report = {"command": args.command, "ok": False, "error": str(exc)}
         print(json.dumps(error_report, indent=2, sort_keys=True))
@@ -512,8 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     if csv_payload is not None:
         sys.stdout.write(csv_payload)
     else:
+        report = {"command": args.command, "ok": ok, **report}
         print(json.dumps(report, indent=2, sort_keys=True))
-    return code
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -128,6 +128,17 @@ class OracleResult:
     seed_host: str
     anchored: dict[str, int]
 
+    def search_fields(self) -> dict:
+        """What the search did, as the ``oracle`` report and each
+        ``verify --oracle`` row give it."""
+        return {
+            "exact": self.exact,
+            "budget_reason": self.budget_reason,
+            "nodes": self.nodes,
+            "anchored": self.anchored,
+            "seed": {"edges": self.seed_edges, "host": self.seed_host},
+        }
+
 
 # ---------------------------------------------------------------- search core
 
@@ -424,25 +435,12 @@ def verify_formula(
 ) -> dict:
     """Compare the closed form against the oracle on each ``p``; JSON-ready."""
     rows = []
-    all_equal = True
     for p in p_values:
-        res = ex_bruteforce(
-            p, f, budget_nodes=budget_nodes, budget_seconds=budget_seconds
-        )
+        res = ex_bruteforce(p, f, budget_nodes=budget_nodes, budget_seconds=budget_seconds)
         formula = extremal_value(f, p).value
         equal = res.exact and res.value == formula
-        all_equal = all_equal and equal
         rows.append(
-            {
-                "p": p,
-                "oracle": res.value,
-                "formula": formula,
-                "equal": equal,
-                "exact": res.exact,
-                "budget_reason": res.budget_reason,
-                "nodes": res.nodes,
-                "anchored": res.anchored,
-                "seed": {"edges": res.seed_edges, "host": res.seed_host},
-            }
+            {"p": p, "oracle": res.value, "formula": formula, "equal": equal,
+             **res.search_fields()}
         )
-    return {"rows": rows, "all_equal": all_equal}
+    return {"rows": rows, "all_equal": all(row["equal"] for row in rows)}

@@ -11,7 +11,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from turantrees import cli
+from turantrees import cli, verify
 from turantrees.cli import eval_nexpr, main
 from turantrees.formulas import extremal_value
 from turantrees.graphs import SimpleGraph, read_graph_file, to_edge_text, to_graph6
@@ -424,6 +424,11 @@ def test_verify_empty_range_exits_2(capsys):
         (("--n", "15..15", "--p", "3n..n"), "no p >= n"),
         (("--n", "15..15", "--p", "10..12"), "no p >= n"),
         (("--n", "5..6"), "n >= 10"),
+        # a malformed span names its flag and the form it takes
+        (("--n", "15.."), "--n takes A or A..B"),
+        (("--n", "x..16"), "--n takes A or A..B"),
+        (("--n", "15..16.5"), "--n takes A or A..B"),
+        (("--p", "n.."), "--p takes A or A..B"),
     ]:
         code, rep = run_cli(capsys, "verify", *argv)
         assert code == 2, argv
@@ -437,14 +442,14 @@ def test_verify_empty_range_exits_2(capsys):
 def _patched_hosts(monkeypatch, change):
     """Make ``verify`` see ``change(g, n, p)`` in place of each host whose
     ``change`` returns a graph; the recipe (and so its edge count) is kept."""
-    real = cli.extremal_graph
+    real = verify.extremal_graph
 
     def fake(f, p, **kwargs):
         g, recipe = real(f, p, **kwargs)
         changed = change(g, f.n, p)
         return (g if changed is None else changed), recipe
 
-    monkeypatch.setattr(cli, "extremal_graph", fake)
+    monkeypatch.setattr(verify, "extremal_graph", fake)
 
 
 def test_verify_rejects_an_edge_between_block_and_base(capsys, monkeypatch):
@@ -484,15 +489,29 @@ def test_verify_rejects_a_base_that_holds_the_tree(capsys, monkeypatch):
     ]
 
 
+def test_verify_keeps_the_first_20_failures_in_sweep_order(capsys, monkeypatch):
+    # every host replaced by K_p, which holds the tree, fails its check
+    _patched_hosts(monkeypatch, lambda g, n, p: SimpleGraph.complete(p))
+    code, rep = run_cli(capsys, "verify", "--n", "15..16", "--p", "n..2n",
+                        "--families", "tpp")
+    hosts = [(n, p) for n in (15, 16) for p in range(n, 2 * n + 1)]
+    assert code == 1 and rep["ok"] is False
+    assert rep["results"]["constructions"] == {"checked": len(hosts), "failures": len(hosts)}
+    assert rep["counts"]["failures"] == len(hosts) > 20
+    assert rep["results"]["failures_detail"] == [
+        {"check": "constructions", "family": "tpp", "n": n, "p": p} for n, p in hosts[:20]
+    ]
+
+
 def test_verify_certifies_each_base_once(capsys, monkeypatch):
-    real = cli.contains_tree
+    real = verify.contains_tree
     calls = []
 
     def counted(g, f):
         calls.append(g.n)
         return real(g, f)
 
-    monkeypatch.setattr(cli, "contains_tree", counted)
+    monkeypatch.setattr(verify, "contains_tree", counted)
     counts = {}
     for span in ("n..3n", "n..6n"):
         calls.clear()
